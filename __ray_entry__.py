@@ -24,7 +24,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_CACHE_ROOT = "/tmp/rayse_entry_cache_v2"   # v2: role-scoped segment schema
+# v3: lean index layout (merged runs deleted, no empty parts). A build
+# from before v3 re-run over a v3 index recounts its corpus stats from the
+# deleted runs and zeroes them, so the two layouts must not share a cache.
+_CACHE_ROOT = "/tmp/rayse_entry_cache_v3"
 
 # Fixed reference query set over the sf documents vocabulary (word soup of
 # data-engineering terms; see /root/testdata/*/documents.parquet).

@@ -17,7 +17,9 @@ segment index needs the Lucene two-phase realization instead:
    recomputed exactly from the dropped postings' (doc, dl) pairs, and
    block-max metadata is rebuilt against the new avgdl. The result ranks
    IDENTICALLY to a fresh build over the filtered corpus (pinned by
-   tests across bm25/phrase/boolean/role modes).
+   tests across bm25/phrase/boolean/role modes). A part that loses every
+   posting gets no segment and no manifest, like an empty part at build;
+   when ``out_dir`` held an earlier index, that part's old files go.
 
 Contract notes:
 - Turns whose every token was filtered by the analyzer carry no postings
@@ -47,7 +49,16 @@ import pyarrow.parquet as pq
 from ..config import BM25Params
 from ..stages.doc_ids import TURN_BITS, conv_hash
 from .encoding import delta_encode, encode_varints
-from .segments import SEGMENT_SCHEMA, bm25_tf, filter_positions_blob
+from .reader import present_parts
+from .segments import (
+    SEGMENT_FILE,
+    SEGMENT_SCHEMA,
+    bm25_tf,
+    filter_positions_blob,
+    segment_info,
+    write_segment,
+)
+from .stats import load_corpus_stats, write_corpus_stats
 
 
 def _tombstone_path(index_dir: str) -> str:
@@ -126,8 +137,9 @@ def _compact_part_rewrite(part_dir: str, out_part_dir: str,
                           params: BM25Params, block_size: int) -> dict:
     """Rewrite one part's segment file without the tombstoned postings.
     Terms keep their (term, salt) row split; rows that lose every posting
-    are dropped. Positions move by byte-span gather (never decoded)."""
-    seg_path = os.path.join(part_dir, "segment.parquet")
+    are dropped, and so is the part when no row is left. Positions move
+    by byte-span gather (never decoded)."""
+    seg_path = os.path.join(part_dir, SEGMENT_FILE)
     tbl = pq.read_table(seg_path)
     rows = {n: [] for n in SEGMENT_SCHEMA.names}
     n_terms = 0
@@ -186,10 +198,24 @@ def _compact_part_rewrite(part_dir: str, out_part_dir: str,
             n_terms += 1
             prev_term = term
 
-    os.makedirs(out_part_dir, exist_ok=True)
-    pq.write_table(pa.table(rows, schema=SEGMENT_SCHEMA),
-                   os.path.join(out_part_dir, "segment.parquet"))
+    if n_post:
+        info = segment_info(seg_path) or {}
+        write_segment(pa.table(rows, schema=SEGMENT_SCHEMA), out_part_dir,
+                      avgdl, info.get("shards", []))
     return {"n_terms": n_terms, "n_postings": n_post}
+
+
+def _drop_stale_parts(out_dir: str, written) -> None:
+    """Remove the part segments and manifests of ``out_dir`` that this
+    write did not produce: when ``out_dir`` held an earlier index, a part
+    that is now without postings must not keep serving its old segment."""
+    keep = {str(p) for p in written}
+    for d in glob.glob(os.path.join(out_dir, "segments", "part=*")):
+        if d.rsplit("=", 1)[1] not in keep:
+            shutil.rmtree(d)
+    for m in glob.glob(os.path.join(out_dir, "_manifest", "part-*.json")):
+        if os.path.basename(m)[len("part-"):-len(".json")] not in keep:
+            os.remove(m)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +286,7 @@ def _merge_part(part_a: str | None, part_b: str | None, out_part_dir: str,
     from .segments import encode_segment_row
 
     def load(p):
-        return (_rows_by_term(os.path.join(p, "segment.parquet"))
-                if p else {})
+        return _rows_by_term(os.path.join(p, SEGMENT_FILE)) if p else {}
 
     terms_a, terms_b = load(part_a), load(part_b)
     rows = {n: [] for n in SEGMENT_SCHEMA.names}
@@ -314,9 +339,9 @@ def _merge_part(part_a: str | None, part_b: str | None, out_part_dir: str,
         n_terms += 1
         n_post += int(d.size)
 
-    os.makedirs(out_part_dir, exist_ok=True)
-    pq.write_table(pa.table(rows, schema=SEGMENT_SCHEMA),
-                   os.path.join(out_part_dir, "segment.parquet"))
+    if n_post:      # the merged index holds no runs: it holds no shards
+        write_segment(pa.table(rows, schema=SEGMENT_SCHEMA), out_part_dir,
+                      avgdl, [])
     return {"n_terms": n_terms, "n_postings": n_post}
 
 
@@ -343,8 +368,7 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     if meta_a != meta_b:
         raise ValueError("index_meta mismatch; refusing to merge "
                          f"{meta_a} vs {meta_b}")
-    stats_a, stats_b = jload(dir_a, "corpus_stats.json"), jload(
-        dir_b, "corpus_stats.json")
+    stats_a, stats_b = load_corpus_stats(dir_a), load_corpus_stats(dir_b)
     for d in (dir_a, dir_b):
         if load_tombstones(d).size:
             raise ValueError(f"{d} has pending tombstones; compact first")
@@ -372,11 +396,7 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     params = BM25Params(**meta_a.get("bm25", {}))
     block_size = meta_a.get("block_size", 128)
 
-    def part_map(d):
-        return {int(p.rsplit("=", 1)[1]): p for p in glob.glob(
-            os.path.join(d, "segments", "part=*")) if not p.endswith(".tmp")}
-
-    pa_map, pb_map = part_map(dir_a), part_map(dir_b)
+    pa_map, pb_map = present_parts(dir_a), present_parts(dir_b)
     os.makedirs(out_dir, exist_ok=True)
     task = ray.remote(_merge_part)
     refs = []
@@ -388,20 +408,22 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
             avgdl, params, block_size))
     part_stats = ray.get(refs)
 
-    with open(os.path.join(out_dir, "corpus_stats.json"), "w") as f:
-        json.dump({"avgdl": avgdl, "n_docs": n_docs,
-                   "total_tokens": total_tokens}, f, indent=1)
     with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
         json.dump(meta_a, f, indent=1)
     man_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(man_dir, exist_ok=True)
+    _drop_stale_parts(out_dir, [pid for pid, ps in zip(pids, part_stats)
+                                if ps["n_postings"]])
     for pid, ps in zip(pids, part_stats):
+        if not ps["n_postings"]:
+            continue
         with open(os.path.join(man_dir, f"part-{pid}.json"), "w") as f:
             json.dump({"part": pid, "avgdl": avgdl,
                        "merged_from": [os.path.abspath(dir_a),
                                        os.path.abspath(dir_b)], **ps}, f)
     # conv_map union (shard dirs renumbered to avoid collisions) + remap
-    # union (consistency-checked).
+    # union (consistency-checked). The renumbered ids are the shards the
+    # merged stats count: an append continues after them.
     shard = 0
     cm_out = os.path.join(out_dir, "conv_map")
     for d in (dir_a, dir_b):
@@ -409,6 +431,7 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
             shutil.copytree(src, os.path.join(cm_out, f"shard={shard}"),
                             dirs_exist_ok=True)
             shard += 1
+    write_corpus_stats(out_dir, n_docs, total_tokens, range(shard))
     remap: dict[str, int] = {}
     for d in (dir_a, dir_b):
         p = os.path.join(d, "_manifest", "conv_remap.json")
@@ -424,7 +447,7 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
             json.dump(remap, f)
     return {"n_docs": n_docs, "avgdl": avgdl,
             "n_postings": sum(p["n_postings"] for p in part_stats),
-            "n_parts": len(pids)}
+            "n_parts": sum(1 for p in part_stats if p["n_postings"])}
 
 
 def _deleted_turn_count(index_dir: str, tombs: np.ndarray) -> int | None:
@@ -476,18 +499,14 @@ def compact_index(index_dir: str, out_dir: str,
         extra = {int(remap.get(c, conv_hash(c))) for c in extra_conv_ids}
         tombs = np.asarray(sorted(set(tombs.tolist()) | extra),
                            dtype=np.uint64)
-    with open(os.path.join(index_dir, "corpus_stats.json")) as f:
-        stats = json.load(f)
+    stats = load_corpus_stats(index_dir)
     with open(os.path.join(index_dir, "index_meta.json")) as f:
         meta = json.load(f)
-    part_dirs = sorted(
-        (d for d in glob.glob(os.path.join(index_dir, "segments", "part=*"))
-         if not d.endswith(".tmp")),
-        key=lambda p: int(p.rsplit("=", 1)[1]))
+    part_dirs = list(present_parts(index_dir).values())
 
     if tombs.size:
         stats_task = ray.remote(_compact_part_stats)
-        refs = [stats_task.remote(os.path.join(d, "segment.parquet"), tombs)
+        refs = [stats_task.remote(os.path.join(d, SEGMENT_FILE), tombs)
                 for d in part_dirs]
         partials = ray.get(refs)
         n_del = sum(p[0] for p in partials)
@@ -519,14 +538,17 @@ def compact_index(index_dir: str, out_dir: str,
             tombs, avgdl, params, block_size))
     part_stats = ray.get(refs)
 
-    with open(os.path.join(out_dir, "corpus_stats.json"), "w") as f:
-        json.dump({"avgdl": avgdl, "n_docs": n_docs,
-                   "total_tokens": total_tokens}, f, indent=1)
+    write_corpus_stats(out_dir, n_docs, total_tokens, stats["shards"])
     with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
         json.dump(meta, f, indent=1)
     man_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(man_dir, exist_ok=True)
+    _drop_stale_parts(out_dir, [d.rsplit("=", 1)[1] for d, ps
+                                in zip(part_dirs, part_stats)
+                                if ps["n_postings"]])
     for d, ps in zip(part_dirs, part_stats):
+        if not ps["n_postings"]:
+            continue
         pid = d.rsplit("=", 1)[1]
         with open(os.path.join(man_dir, f"part-{pid}.json"), "w") as f:
             json.dump({"part": int(pid), "avgdl": avgdl,

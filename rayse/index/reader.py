@@ -9,6 +9,10 @@ blobs stay compressed; decode is per-term on demand, memoized).  An
 ``IndexReader`` aggregates all parts for single-process use (tests, small
 corpora); the distributed serving path gives each actor a PartReader set
 (`rayse.query.serve`).
+
+Only parts that hold postings have a segment file (``present_parts``); a
+part whose manifest records postings but whose segment is gone is an
+error, never an empty part.
 """
 
 from __future__ import annotations
@@ -20,7 +24,40 @@ import os
 import numpy as np
 import pyarrow.parquet as pq
 
-from .segments import DecodedPostings, decode_rows
+from .segments import SEGMENT_FILE, DecodedPostings, decode_rows
+
+
+def part_manifests(index_dir: str) -> dict[int, dict]:
+    """part id -> its ``_manifest/part-{p}.json``."""
+    out = {}
+    for path in glob.glob(os.path.join(index_dir, "_manifest",
+                                       "part-*.json")):
+        with open(path) as f:
+            man = json.load(f)
+        out[int(os.path.basename(path)[len("part-"):-len(".json")])] = man
+    return out
+
+
+def present_parts(index_dir: str,
+                  manifests: dict[int, dict] | None = None) -> dict[int, str]:
+    """part id -> segment dir, ascending, for every part with a segment.
+    Raises ``FileNotFoundError`` when a part manifest records postings
+    but the part's segment file is missing."""
+    dirs = {}
+    for path in glob.glob(os.path.join(index_dir, "segments", "part=*",
+                                       SEGMENT_FILE)):
+        d = os.path.dirname(path)
+        if not d.endswith(".tmp"):          # crash-leftover temp dirs
+            dirs[int(d.rsplit("=", 1)[1])] = d
+    if manifests is None:
+        manifests = part_manifests(index_dir)
+    lost = sorted(p for p, m in manifests.items()
+                  if m.get("n_postings", 0) > 0 and p not in dirs)
+    if lost:
+        raise FileNotFoundError(
+            f"{index_dir}: parts {lost[:8]} record postings in their "
+            "manifests but have no segment file")
+    return dict(sorted(dirs.items()))
 
 
 def _edit1(a: str, b: str) -> bool:
@@ -50,7 +87,7 @@ class PartReader:
         # (avgdl'/avgdl) for avgdl' > avgdl, so scaling bounds by
         # max(1, avgdl_now/avgdl_at_merge) keeps block-max pruning exact
         self.bound_scale = bound_scale
-        tbl = pq.read_table(os.path.join(part_dir, "segment.parquet"))
+        tbl = pq.read_table(os.path.join(part_dir, SEGMENT_FILE))
         self._tbl = tbl
         # term -> (row_start, row_end) over rows sorted by (term, salt)
         terms = tbl["term"].to_pylist()
@@ -147,18 +184,14 @@ class IndexReader:
             self.meta = json.load(f)
         self.n_docs = stats["n_docs"]
         self.avgdl = stats["avgdl"] if stats["avgdl"] > 0 else 1.0
-        part_dirs = sorted(
-            (d for d in glob.glob(os.path.join(index_dir, "segments",
-                                               "part=*"))
-             if not d.endswith(".tmp")),   # crash-leftover temp dirs
-            key=lambda p: int(p.rsplit("=", 1)[1]))
+        mans = part_manifests(index_dir)
+        part_dirs = present_parts(index_dir, mans)
         if parts is not None:
             keep = {int(p) for p in parts}
-            part_dirs = [d for d in part_dirs
-                         if int(d.rsplit("=", 1)[1]) in keep]
+            part_dirs = {p: d for p, d in part_dirs.items() if p in keep}
         bs = self.meta.get("block_size", 128)
-        self.parts = [PartReader(d, bs, self._bound_scale(d))
-                      for d in part_dirs]
+        self.parts = [PartReader(d, bs, self._bound_scale(mans.get(p)))
+                      for p, d in part_dirs.items()]
         self._merged: dict[str, DecodedPostings | None] = {}
         # role-integrity: role-scoped queries are sound only when every
         # posting carries a REAL role code (build/append record the flag;
@@ -183,16 +216,10 @@ class IndexReader:
         else:
             self.tombstones = np.empty(0, dtype=np.uint64)
 
-    def _bound_scale(self, part_dir: str) -> float:
+    def _bound_scale(self, man: dict | None) -> float:
         """Exact block-max correction for parts merged under an older
         avgdl (incremental append); 1.0 for freshly-merged parts."""
-        pid = part_dir.rsplit("=", 1)[1]
-        man = os.path.join(self.index_dir, "_manifest", f"part-{pid}.json")
-        try:
-            with open(man) as f:
-                avgdl_m = json.load(f).get("avgdl")
-        except OSError:
-            return 1.0
+        avgdl_m = man.get("avgdl") if man else None
         if not avgdl_m or avgdl_m <= 0:
             return 1.0
         return max(1.0, self.avgdl / avgdl_m)

@@ -23,12 +23,21 @@ rule: salted two-phase aggregation). Decoders concatenate runs in salt order.
 
 Replaces `inverted_index` + `word_position` PostgreSQL rows
 (`Indexer/Entities/InvertedIndex.java:9-37`, `WordPosition.java:8-34`).
+
+Each part's segment file carries, in its Parquet key-value metadata, the
+corpus avgdl its block_max was computed with and the build shards whose
+posting runs it holds (``write_segment`` / ``segment_info``). Both are
+written in the same file as the postings, so no crash can separate them.
 """
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..config import BM25Params
 from .encoding import (
@@ -55,6 +64,27 @@ SEGMENT_SCHEMA = pa.schema([
     ("block_max", pa.list_(pa.float64())),
     ("block_last", pa.list_(pa.uint64())),
 ])
+
+SEGMENT_FILE = "segment.parquet"
+_INFO_KEY = b"rayse.segment"
+
+
+def write_segment(tbl: pa.Table, part_dir: str, avgdl: float,
+                  shards) -> None:
+    """Write one part's segment file under ``part_dir`` with its
+    provenance (avgdl of its block_max, ids of the shards it holds)."""
+    os.makedirs(part_dir, exist_ok=True)
+    info = json.dumps({"avgdl": avgdl, "shards": sorted(shards)})
+    pq.write_table(tbl.replace_schema_metadata({_INFO_KEY: info.encode()}),
+                   os.path.join(part_dir, SEGMENT_FILE))
+
+
+def segment_info(path: str) -> dict | None:
+    """The provenance ``write_segment`` recorded; None for segment files
+    written before it existed."""
+    raw = (pq.read_schema(path).metadata or {}).get(_INFO_KEY)
+    return json.loads(raw) if raw else None
+
 
 # role -> stable code (0 = unknown/other). Deterministic module constant —
 # NOT data-derived — so segments from different shards/builds agree.

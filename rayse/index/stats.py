@@ -8,14 +8,57 @@ aggregate over a pruned Parquet read, never as a driver-side pandas
 frame, so it holds at 1e9-term vocabularies (the reference materializes
 this as the PostgreSQL ``words`` / ``word_idf`` tables,
 ``Indexer/Entities/Word.java:6-22``).
+
+``corpus_stats.json`` holds the corpus-level BM25 stats (N, total tokens,
+avgdl) plus the ids of the build shards they count, so that adding a
+shard's stats is idempotent (``load_corpus_stats`` / ``write_corpus_stats``).
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import pyarrow as pa
+
+
+def write_corpus_stats(index_dir: str, n_docs: int, total_tokens: int,
+                       shards) -> dict:
+    """Atomically write ``corpus_stats.json``; returns what was written."""
+    stats = {
+        "n_docs": int(n_docs),
+        "total_tokens": int(total_tokens),
+        "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
+        "shards": sorted(int(s) for s in shards),
+    }
+    path = os.path.join(index_dir, "corpus_stats.json")
+    with open(path + ".tmp", "w") as f:
+        json.dump(stats, f, indent=1, sort_keys=True)
+    os.replace(path + ".tmp", path)
+    return stats
+
+
+def load_corpus_stats(index_dir: str) -> dict:
+    """The index's corpus stats; an empty corpus when none are written.
+
+    A stats file from before ``shards`` was recorded counted every shard
+    on disk: every shard manifest and conv_map shard."""
+    path = os.path.join(index_dir, "corpus_stats.json")
+    if not os.path.exists(path):
+        return {"n_docs": 0, "total_tokens": 0, "avgdl": 0.0, "shards": []}
+    with open(path) as f:
+        stats = json.load(f)
+    if "shards" not in stats:
+        names = [os.path.basename(p)[len("shard-"):-len(".json")]
+                 for p in glob.glob(os.path.join(index_dir, "_manifest",
+                                                 "shard-*.json"))]
+        names += [os.path.basename(p)[len("shard="):]
+                  for p in glob.glob(os.path.join(index_dir, "conv_map",
+                                                  "shard=*"))
+                  if not p.endswith(".tmp")]
+        stats["shards"] = sorted({int(n) for n in names})
+    return stats
 
 
 def term_stats_ds(index_dir: str):

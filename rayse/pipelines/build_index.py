@@ -11,24 +11,29 @@ Pipeline (per input shard, then a per-part merge):
     → write_parquet(runs/shard=S/, partition_cols=["part"])  # file-based
         # exchange: the groupby-term shuffle, realized as partition-by-
         # doc-part at write + per-part gather at merge
-  MergeWorker actor pool (one part per call):
-    read all shards' runs for the part → group by term → k-way merge runs
-    (decode, mergesort by doc_id, re-encode, block-max) → final segment
-    parquet + per-part manifest
+  MergeWorker actor pool (one part per call, only parts that got runs):
+    read the part's existing segment (if any) and the runs of the shards
+    it does not hold yet → group by term → k-way merge (decode, mergesort
+    by doc_id, re-encode, block-max) → final segment parquet + manifest
+  delete the merged shards' runs
 
 Index layout under ``out_dir``::
 
-    runs/shard={s}/part={p}/*.parquet     phase-1 runs (deleteable after merge)
+    runs/                                 staging for phase-1 runs; empty
+                                          once a build or append finishes
     segments/part={p}/segment.parquet     final per-part posting lists
+                                          (only parts that hold postings)
     _manifest/shard-{s}.json              per-shard build checkpoint
-    _manifest/part-{p}.json               per-part merge checkpoint (lineage)
-    corpus_stats.json                     N, total_tokens, avgdl
+    _manifest/part-{p}.json               per-part counts and block-max avgdl
+    corpus_stats.json                     N, total_tokens, avgdl, counted shards
     metrics.json                          throughput + per-stage wall times
 
-Resume: a shard/part whose manifest exists is skipped; outputs are written
-to a temp dir and atomically renamed, so a killed run never leaves a
-half-written partition (north rule: resumable from per-partition checkpoints
-with lineage + throughput metrics; analog of the crawler's DB-status resume,
+Resume: a shard whose manifest exists is skipped; a part's segment records
+the shards it holds (``segments.write_segment``), so a re-run merges each
+shard's runs into a part once; outputs are written to a temp dir and
+atomically renamed, so a killed run never leaves a half-written partition
+(north rule: resumable from per-partition checkpoints with lineage +
+throughput metrics; analog of the crawler's DB-status resume,
 `CrawlerMainProcess.java:248-260`).
 
 Skew: two-phase aggregation — the tokenize combiner bounds any term's
@@ -60,7 +65,14 @@ from ..index.encoding import (
     encode_varints_offsets,
     segmented_cumsum_abs,
 )
-from ..index.segments import SEGMENT_SCHEMA, bm25_tf
+from ..index.segments import (
+    SEGMENT_FILE,
+    SEGMENT_SCHEMA,
+    bm25_tf,
+    segment_info,
+    write_segment,
+)
+from ..index.stats import load_corpus_stats, write_corpus_stats
 from ..stages.tokenize import RUNS_SCHEMA, TokenizeStage
 
 
@@ -79,6 +91,41 @@ def _atomic_rename_dir(tmp_dir: str, final_dir: str) -> None:
     if os.path.exists(final_dir):
         shutil.rmtree(final_dir)
     os.replace(tmp_dir, final_dir)
+
+
+def _shard_of(path: str) -> int:
+    """Shard id of a path under ``runs/shard={s}/``."""
+    return int(path.split("shard=", 1)[1].split(os.sep, 1)[0])
+
+
+def _run_files(out_dir: str, part: int, skip=()) -> list[str]:
+    """One part's run files, minus those of the shards in ``skip``."""
+    return sorted(
+        f for f in glob.glob(os.path.join(
+            out_dir, "runs", "shard=*", f"part={part}", "*.parquet"))
+        if ".tmp" not in f          # exclude crash-leftover temp dirs
+        and _shard_of(f) not in skip)
+
+
+def _run_parts(out_dir: str, shard_ids) -> list[int]:
+    """Ids of the parts that received runs from any of ``shard_ids``."""
+    return sorted({int(d.rsplit("=", 1)[1])
+                   for sid in shard_ids
+                   for d in glob.glob(os.path.join(
+                       out_dir, "runs", f"shard={sid}", "part=*"))})
+
+
+def _run_tokens(shard_dir: str) -> int:
+    """Σ cf over one shard's runs: each token occurrence is counted in
+    exactly one run row. One threaded scan of the single ``cf`` column."""
+    import pyarrow.dataset as pads
+
+    files = glob.glob(os.path.join(shard_dir, "**", "*.parquet"),
+                      recursive=True)
+    if not files:
+        return 0
+    t = pads.dataset(files).to_table(columns=["cf"])
+    return int(pa.compute.sum(t["cf"]).as_py() or 0)
 
 
 def discover_input_files(input_path: str | list[str]) -> list[str]:
@@ -266,6 +313,7 @@ def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
         "shard": shard_id,
         "files": files,
         "n_turns": int(n_turns),
+        "n_tokens": _run_tokens(final),
         "has_role": has_role,
         "strategy": strategy,
         "wall_s": round(wall, 3),
@@ -278,36 +326,51 @@ def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
 
 
 # --------------------------------------------------------------------------
-# corpus stats (needs only run-file metadata columns: cheap column read)
+# corpus stats (old stats + per-shard counts from the shard manifests)
 # --------------------------------------------------------------------------
 
-def compute_corpus_stats(out_dir: str, n_docs: int) -> dict:
-    """total_tokens = Σ cf over run rows (each token occurrence is counted in
-    exactly one run); avgdl = total_tokens / N. Replaces
-    `documentRepository.count()` + avg length (`IndexerService.java:1014-1020`).
-    One threaded pyarrow-dataset scan of the single ``cf`` column."""
-    import pyarrow.dataset as pads
-
-    files = [f for f in glob.glob(os.path.join(
-        out_dir, "runs", "shard=*", "**", "*.parquet"), recursive=True)
-        if ".tmp" not in f]  # exclude crash-leftover temp dirs
-    if files:
-        t = pads.dataset(files).to_table(columns=["cf"])
-        total = int(pa.compute.sum(t["cf"]).as_py() or 0)
-    else:
-        total = 0
-    stats = {
-        "n_docs": int(n_docs),
-        "total_tokens": int(total),
-        "avgdl": (total / n_docs) if n_docs else 0.0,
-    }
-    _atomic_write_json(os.path.join(out_dir, "corpus_stats.json"), stats)
-    return stats
+def compute_corpus_stats(out_dir: str, shard_mans: list[dict]) -> dict:
+    """Add the shards of ``shard_mans`` that the index's stats do not
+    count yet: N += n_turns, total_tokens += n_tokens; avgdl =
+    total_tokens / N. Replaces `documentRepository.count()` + avg length
+    (`IndexerService.java:1014-1020`). Idempotent: the stats file records
+    the shards it counts."""
+    stats = load_corpus_stats(out_dir)
+    counted = set(stats["shards"])
+    n_docs, total = stats["n_docs"], stats["total_tokens"]
+    for m in shard_mans:
+        if m["shard"] in counted:
+            continue
+        counted.add(m["shard"])
+        n_docs += m["n_turns"]
+        total += m["n_tokens"] if "n_tokens" in m else _run_tokens(
+            os.path.join(out_dir, "runs", f"shard={m['shard']}"))
+    if counted == set(stats["shards"]):
+        return stats
+    return write_corpus_stats(out_dir, n_docs, total, counted)
 
 
 # --------------------------------------------------------------------------
 # phase 2: per-part k-way merge (stateful actor pool)
 # --------------------------------------------------------------------------
+
+_MERGE_SCHEMA = pa.schema([
+    (n, RUNS_SCHEMA.field(n).type)
+    for n in ("term", "df", "cf", "doc_ids", "tfs", "dls", "roles",
+              "positions")])
+
+
+def _merge_input(dset) -> pa.Table:
+    """Runs or a segment (a ``pyarrow.dataset``) as merge input: the
+    columns both share, with null ``roles`` where the source predates
+    roles."""
+    names = dset.schema.names
+    tbl = dset.to_table(columns=[n for n in _MERGE_SCHEMA.names
+                                 if n in names], use_threads=False)
+    return pa.table(
+        [tbl[f.name] if f.name in names else pa.nulls(tbl.num_rows, f.type)
+         for f in _MERGE_SCHEMA], schema=_MERGE_SCHEMA)
+
 
 class MergeWorker:
     """Actor-pool stage: one ``__call__`` merges one doc-partition.
@@ -324,56 +387,78 @@ class MergeWorker:
 
     # -- core ---------------------------------------------------------------
     def merge_part(self, part: int, avgdl: float) -> dict:
+        """Merge the part's runs from shards its segment does not hold
+        yet into that segment (a segment row is already in run form:
+        gap-coded doc ids with an absolute first value, same positions
+        and roles framing), so the result equals a merge of all runs."""
         t0 = time.perf_counter()
         man_path = os.path.join(self.out_dir, "_manifest", f"part-{part}.json")
-        if os.path.exists(man_path):
-            with open(man_path) as f:
-                return json.load(f)
-        run_files = sorted(
-            f for f in glob.glob(os.path.join(
-                self.out_dir, "runs", "shard=*", f"part={part}",
-                "*.parquet"))
-            if ".tmp" not in f)  # exclude crash-leftover temp dirs
         seg_dir = os.path.join(self.out_dir, "segments", f"part={part}")
+        seg_path = os.path.join(seg_dir, SEGMENT_FILE)
+        held = self._held_shards(seg_path, man_path)
+        run_files = _run_files(self.out_dir, part, skip=held)
         if not run_files:
-            os.makedirs(seg_dir, exist_ok=True)
-            pq.write_table(pa.table({n: [] for n in SEGMENT_SCHEMA.names},
-                                    schema=SEGMENT_SCHEMA),
-                           os.path.join(seg_dir, "segment.parquet"))
-            man = {"part": part, "n_terms": 0, "n_postings": 0, "inputs": [],
-                   "avgdl": avgdl, "wall_s": 0.0, "postings_per_sec": None}
-            _atomic_write_json(man_path, man)
-            return man
+            info = segment_info(seg_path)
+            if info is None:
+                # an old-layout segment's held shards come from its
+                # manifest's "inputs": keep that manifest as it is
+                with open(man_path) as f:
+                    return json.load(f)
+            # re-run after a crash between the segment and manifest writes:
+            # the segment already holds every run; its manifest may be stale
+            seg = pq.read_table(seg_path, columns=["term", "df"])
+            return self._write_manifest(
+                man_path, part, pa.compute.count_distinct(seg["term"]).as_py(),
+                pa.compute.sum(seg["df"]).as_py() or 0, info["avgdl"], 0.0)
 
         import pyarrow.dataset as pads
 
         # single-threaded read: each merge actor owns one CPU; a threaded
         # arrow read pool per actor would thrash at pool_size x cpu threads
-        dset = pads.dataset(run_files)
-        cols = ["term", "df", "cf", "min_doc", "doc_ids",
-                "tfs", "dls", "positions"]
-        if "roles" in dset.schema.names:   # absent in pre-role run files
-            cols.insert(7, "roles")
-        tbl = dset.to_table(columns=cols, use_threads=False)
-        tbl = tbl.sort_by([("term", "ascending"), ("min_doc", "ascending")])
+        inputs = [_merge_input(pads.dataset(run_files))]
+        if os.path.exists(seg_path):
+            inputs.append(_merge_input(pads.dataset(seg_path)))
+        tbl = pa.concat_tables(inputs).sort_by("term")    # stable sort
         seg_tbl, n_terms, n_postings = self._merge_table(
             tbl, avgdl if avgdl > 0 else 1.0)
+        shards = held | {_shard_of(f) for f in run_files}
         tmp_dir = seg_dir + ".tmp"
         if os.path.exists(tmp_dir):
             shutil.rmtree(tmp_dir)
-        os.makedirs(tmp_dir)
-        pq.write_table(seg_tbl, os.path.join(tmp_dir, "segment.parquet"))
+        write_segment(seg_tbl, tmp_dir, avgdl, shards)
         _atomic_rename_dir(tmp_dir, seg_dir)
-        wall = time.perf_counter() - t0
+        return self._write_manifest(man_path, part, n_terms, n_postings,
+                                    avgdl, time.perf_counter() - t0)
+
+    @staticmethod
+    def _held_shards(seg_path: str, man_path: str) -> set[int]:
+        """Shards whose runs the part's segment already holds: recorded in
+        the segment file itself; for a segment written before that, the
+        run files its part manifest lists as inputs."""
+        if not os.path.exists(seg_path):
+            return set()
+        info = segment_info(seg_path)
+        if info is not None:
+            return set(info["shards"])
+        try:
+            with open(man_path) as f:
+                man = json.load(f)
+        except OSError:
+            return set()
+        return {_shard_of(f) for f in man.get("inputs", [])}
+
+    @staticmethod
+    def _write_manifest(man_path: str, part: int, n_terms: int,
+                        n_postings: int, avgdl: float, wall: float) -> dict:
         man = {
             "part": part,
             "n_terms": int(n_terms),
             "n_postings": int(n_postings),
-            "inputs": [os.path.relpath(f, self.out_dir) for f in run_files],
             "avgdl": avgdl,     # bound provenance: block_max was computed
             #                     with THIS avgdl (append bound-correction)
             "wall_s": round(wall, 3),
-            "postings_per_sec": round(n_postings / wall, 1) if wall > 0 else None,
+            "postings_per_sec": (round(n_postings / wall, 1)
+                                 if wall > 0 else None),
         }
         os.makedirs(os.path.dirname(man_path), exist_ok=True)
         _atomic_write_json(man_path, man)
@@ -382,7 +467,8 @@ class MergeWorker:
     def _merge_table(self, tbl: pa.Table, avgdl: float):
         """Vectorized whole-part merge: decode every run blob in ONE varint
         pass, lexsort all postings by (term, doc_id), re-encode with ONE
-        segmented varint pass. Rows must be pre-sorted by (term, min_doc).
+        segmented varint pass. Rows (``_MERGE_SCHEMA``) must be grouped by
+        term; their order within a term does not change the output.
 
         Returns (segment_table, n_terms, n_postings)."""
         cap = self.cfg.compact_max_postings
@@ -420,15 +506,12 @@ class MergeWorker:
         term_id = np.repeat(term_id_row, df_row)
         uniq_codes = tcodes[new_term]   # term_id -> dictionary code
 
-        if "roles" in tbl.column_names:
-            # mixed legacy/new runs surface missing blobs as None: code 0
-            roles_all = np.frombuffer(
-                b"".join(b if b is not None else b"\x00" * int(d)
-                         for b, d in zip(tbl["roles"].to_pylist(),
-                                         df_row.tolist())),
-                dtype=np.uint8)
-        else:                              # pre-role index (append path)
-            roles_all = np.zeros(n_post, dtype=np.uint8)
+        # pre-role runs and segments carry no roles blob: code 0
+        roles_all = np.frombuffer(
+            b"".join(b if b is not None else b"\x00" * int(d)
+                     for b, d in zip(tbl["roles"].to_pylist(),
+                                     df_row.tolist())),
+            dtype=np.uint8)
 
         order = np.lexsort((doc_abs, term_id))
         sd = doc_abs[order]
@@ -768,17 +851,49 @@ class BuildResult:
     part_manifests: list = field(default_factory=list)
 
 
+def _merge_parts(out_dir: str, cfg: IndexConfig, parts: list[int],
+                 avgdl: float, merge_concurrency: int | None) -> list[dict]:
+    """Stateful actor-pool k-way merge (north rule): raw Ray actors with a
+    dynamic work queue — the part list is fixed, ActorPool load-balances
+    uneven parts. Created after phase 1 so actor spin-up (process fork +
+    imports) does not compete with the tokenize scan for cores. Returns
+    the parts' manifests in part order."""
+    import ray
+    from ray.util import ActorPool
+
+    if not parts:
+        return []
+    if merge_concurrency is None:
+        merge_concurrency = max(1, min(
+            len(parts), int(ray.cluster_resources().get("CPU", 4))))
+    RemoteMergeWorker = ray.remote(num_cpus=1)(MergeWorker)
+    merge_actors = [RemoteMergeWorker.remote(out_dir, cfg)
+                    for _ in range(merge_concurrency)]
+    merge_pool = ActorPool(merge_actors)
+    metrics = list(merge_pool.map_unordered(
+        lambda a, p: a.merge_part.remote(p, avgdl), parts))
+    for a in merge_actors:
+        ray.kill(a)
+    return sorted(metrics, key=lambda m: m["part"])
+
+
+def _drop_runs(out_dir: str, shard_ids) -> None:
+    """Delete merged shards' runs; ``runs/`` itself stays (staging)."""
+    for sid in shard_ids:
+        shutil.rmtree(os.path.join(out_dir, "runs", f"shard={sid}"),
+                      ignore_errors=True)
+    os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
+
+
 def build_index(input_path: str | list[str], out_dir: str,
                 cfg: IndexConfig | None = None, *,
                 strategy: str = "combine",
                 shard_target_bytes: int = 2 << 30,
                 concurrency: int | None = None,
-                merge_concurrency: int | None = None,
-                keep_runs: bool = True) -> BuildResult:
-    """End-to-end index build. Safe to re-run: finished shards/parts skip."""
-    import ray
-    import ray.data as rd
-
+                merge_concurrency: int | None = None) -> BuildResult:
+    """End-to-end index build. Safe to re-run: finished shards/parts skip.
+    Only parts that receive postings get a segment and a manifest; the
+    shards' runs are deleted once merged."""
     cfg = cfg or IndexConfig()
     t0 = time.perf_counter()
     os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
@@ -809,8 +924,7 @@ def build_index(input_path: str | list[str], out_dir: str,
                              remap=remap)
         for s, fl in enumerate(shards)
     ]
-    n_docs = sum(m["n_turns"] for m in shard_mans)
-    stats = compute_corpus_stats(out_dir, n_docs)
+    stats = compute_corpus_stats(out_dir, shard_mans)
 
     # per-index role-integrity flag: role queries are only sound when EVERY
     # shard carried real role data (a role-less shard's postings are all
@@ -824,31 +938,17 @@ def build_index(input_path: str | list[str], out_dir: str,
                                  for m in shard_mans) if shard_mans else False
     _atomic_write_json(meta_path, meta_now)
 
-    # Stateful actor-pool k-way merge (north rule): raw Ray actors with a
-    # dynamic work queue — the part list is fixed, ActorPool load-balances
-    # uneven parts. Created after phase 1 so actor spin-up (process fork +
-    # imports) does not compete with the tokenize scan for cores.
-    from ray.util import ActorPool
+    shard_ids = [m["shard"] for m in shard_mans]
+    _merge_parts(out_dir, cfg, _run_parts(out_dir, shard_ids),
+                 stats["avgdl"], merge_concurrency)
+    _drop_runs(out_dir, shard_ids)
+    # every part with postings, also those a resumed run did not re-merge
+    from ..index.reader import part_manifests
 
-    n_parts = 1 << cfg.part_bits
-    if merge_concurrency is None:
-        merge_concurrency = max(1, min(
-            n_parts, int(ray.cluster_resources().get("CPU", 4))))
-    RemoteMergeWorker = ray.remote(num_cpus=1)(MergeWorker)
-    merge_actors = [RemoteMergeWorker.remote(out_dir, cfg)
-                    for _ in range(merge_concurrency)]
-    merge_pool = ActorPool(merge_actors)
-    metrics = list(merge_pool.map_unordered(
-        lambda a, p: a.merge_part.remote(p, stats["avgdl"]),
-        list(range(n_parts))))
-    metrics.sort(key=lambda m: m["part"])
-    for a in merge_actors:
-        ray.kill(a)
-
-    if not keep_runs:
-        shutil.rmtree(os.path.join(out_dir, "runs"), ignore_errors=True)
+    metrics = [m for _, m in sorted(part_manifests(out_dir).items())]
 
     wall = time.perf_counter() - t0
+    n_docs = stats["n_docs"]
     result = BuildResult(
         out_dir=out_dir,
         n_docs=n_docs,
@@ -865,7 +965,7 @@ def build_index(input_path: str | list[str], out_dir: str,
         "wall_s": result.wall_s,
         "turns_per_sec": result.turns_per_sec,
         "shards": shard_mans,
-        "parts": [{k: v for k, v in m.items() if k != "inputs"} for m in metrics],
+        "parts": metrics,
     })
     return result
 
@@ -881,8 +981,11 @@ def append_index(out_dir: str, new_input: str | list[str], *,
 
     - only the NEW files are tokenized (new shard ids continue the old
       sequence; finished shards skip via their manifests)
-    - only parts that received new runs re-merge, with the NEW corpus
-      avgdl; their manifests record it
+    - corpus stats are the old ``corpus_stats.json`` plus the new shards'
+      turns and tokens, so any index works as the base: a build, a
+      ``compact_index`` or ``merge_indexes`` output, or a legacy index
+    - only parts that received new runs re-merge — their segment plus the
+      new runs — with the NEW corpus avgdl; their manifests record it
     - untouched parts keep their segments verbatim; their block_max was
       computed under the old avgdl, so the reader scales those bounds by
       max(1, avgdl_now/avgdl_then) — pruning stays EXACT, and scoring is
@@ -894,20 +997,19 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     shard boundaries): byte-identical segments for every re-merged part,
     byte-identical except block_max for untouched parts, rank-identical
     queries — pinned by tests/test_append.py. Safe to re-run after a
-    crash (same manifest discipline as build_index)."""
-    import ray
-
+    crash: stats and segments record the shards they hold."""
     t0 = time.perf_counter()
     with open(os.path.join(out_dir, "index_meta.json")) as f:
         meta = json.load(f)
+    # record which shards the stats count before any new shard exists, so
+    # that a re-run after a crash cannot count a new shard as an old one
+    old_stats = load_corpus_stats(out_dir)
+    write_corpus_stats(out_dir, old_stats["n_docs"],
+                       old_stats["total_tokens"], old_stats["shards"])
     # pre-role part manifests carry no "avgdl"; their block_max WAS built
     # with the pre-append avgdl — backfill it NOW (before stats change) so
     # the reader's bound correction stays exact for untouched legacy parts
-    try:
-        with open(os.path.join(out_dir, "corpus_stats.json")) as f:
-            old_avgdl = json.load(f).get("avgdl")
-    except OSError:
-        old_avgdl = None
+    old_avgdl = old_stats["avgdl"]
     if old_avgdl:
         for mp in glob.glob(os.path.join(out_dir, "_manifest",
                                          "part-*.json")):
@@ -927,16 +1029,16 @@ def append_index(out_dir: str, new_input: str | list[str], *,
         clean_html=meta.get("clean_html", False))
     strategy = meta.get("strategy", "combine")
 
-    old_mans = sorted(glob.glob(os.path.join(out_dir, "_manifest",
-                                             "shard-*.json")))
     old_ids = []
     known_inputs: dict[tuple, int] = {}   # file-set -> existing shard id
-    for p in old_mans:
+    for p in glob.glob(os.path.join(out_dir, "_manifest", "shard-*.json")):
         with open(p) as f:
             m = json.load(f)
         old_ids.append(int(m["shard"]))
         known_inputs[tuple(m["files"])] = int(m["shard"])
-    next_id = (max(old_ids) + 1) if old_ids else 0
+    # compacted and merged indexes carry no shard manifests: their stats
+    # name the shard ids already taken
+    next_id = max(old_ids + old_stats["shards"], default=-1) + 1
 
     files = discover_input_files(new_input)
     # idempotence: a shard whose exact file list was already indexed reuses
@@ -966,11 +1068,7 @@ def append_index(out_dir: str, new_input: str | list[str], *,
                              concurrency, remap=remap)
         for sid, fl in zip(shard_ids, new_shards)
     ]
-    n_docs = 0
-    for p in glob.glob(os.path.join(out_dir, "_manifest", "shard-*.json")):
-        with open(p) as f:
-            n_docs += json.load(f)["n_turns"]
-    stats = compute_corpus_stats(out_dir, n_docs)
+    stats = compute_corpus_stats(out_dir, new_mans)
 
     # role-integrity after append: appending onto a PRE-ROLE index
     # backfills legacy postings as role code 0 in re-merged parts while
@@ -981,7 +1079,7 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     old_real = meta.get("roles_real")
     if old_real is None:
         seg_files = glob.glob(os.path.join(out_dir, "segments", "part=*",
-                                           "segment.parquet"))
+                                           SEGMENT_FILE))
         old_real = bool(seg_files) and all(
             "roles" in pq.ParquetFile(s).schema_arrow.names
             for s in seg_files)
@@ -990,49 +1088,17 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     _atomic_write_json(os.path.join(out_dir, "index_meta.json"), meta)
 
     # parts touched by any new shard re-merge with the new avgdl; a part
-    # whose manifest already reflects the current inputs+avgdl (crash
-    # re-run) skips
-    affected: set[int] = set()
-    for sid in shard_ids:
-        for d in glob.glob(os.path.join(out_dir, "runs",
-                                        f"shard={sid}", "part=*")):
-            affected.add(int(d.rsplit("=", 1)[1]))
-    to_merge = []
-    for part in sorted(affected):
-        man_path = os.path.join(out_dir, "_manifest", f"part-{part}.json")
-        if os.path.exists(man_path):
-            with open(man_path) as f:
-                man = json.load(f)
-            cur = sorted(os.path.relpath(f_, out_dir) for f_ in glob.glob(
-                os.path.join(out_dir, "runs", "shard=*", f"part={part}",
-                             "*.parquet")) if ".tmp" not in f_)
-            if (man.get("avgdl") == stats["avgdl"]
-                    and sorted(man.get("inputs", [])) == cur):
-                continue
-            os.remove(man_path)
-        to_merge.append(part)
-
-    from ray.util import ActorPool
-
-    if merge_concurrency is None:
-        merge_concurrency = max(1, min(
-            max(1, len(to_merge)),
-            int(ray.cluster_resources().get("CPU", 4))))
-    RemoteMergeWorker = ray.remote(num_cpus=1)(MergeWorker)
-    merge_actors = [RemoteMergeWorker.remote(out_dir, cfg)
-                    for _ in range(merge_concurrency)]
-    merge_pool = ActorPool(merge_actors)
-    metrics = list(merge_pool.map_unordered(
-        lambda a, p: a.merge_part.remote(p, stats["avgdl"]), to_merge))
-    metrics.sort(key=lambda m: m["part"])
-    for a in merge_actors:
-        ray.kill(a)
+    # whose segment already holds the new runs (crash re-run) skips
+    to_merge = _run_parts(out_dir, shard_ids)
+    metrics = _merge_parts(out_dir, cfg, to_merge, stats["avgdl"],
+                           merge_concurrency)
+    _drop_runs(out_dir, shard_ids)
 
     wall = time.perf_counter() - t0
     n_new = sum(m["n_turns"] for m in new_mans)
     result = BuildResult(
         out_dir=out_dir,
-        n_docs=n_docs,
+        n_docs=stats["n_docs"],
         total_tokens=stats["total_tokens"],
         avgdl=stats["avgdl"],
         wall_s=round(wall, 3),
@@ -1041,14 +1107,13 @@ def append_index(out_dir: str, new_input: str | list[str], *,
         part_manifests=metrics,
     )
     _atomic_write_json(os.path.join(out_dir, "metrics.json"), {
-        "n_docs": n_docs,
+        "n_docs": stats["n_docs"],
         "total_tokens": stats["total_tokens"],
         "appended_turns": n_new,
         "remerged_parts": len(to_merge),
         "wall_s": result.wall_s,
         "turns_per_sec": result.turns_per_sec,
         "shards": new_mans,
-        "parts": [{k: v for k, v in m.items() if k != "inputs"}
-                  for m in metrics],
+        "parts": metrics,
     })
     return result

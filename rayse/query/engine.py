@@ -125,7 +125,10 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def phrase_match(reader, phrase, pos_cache: _PosCache) -> np.ndarray:
     """doc_ids (ascending) containing the exact phrase
-    (post-analyzer adjacency, `Ranker1.java:370-449`)."""
+    (post-analyzer adjacency, `Ranker1.java:370-449`). A phrase that
+    analyzes to no terms (all stopwords) matches nothing."""
+    if not phrase:
+        return _EMPTY_U64
     pls = []
     for t in phrase:
         pl = reader.merged(t)

@@ -87,7 +87,9 @@ class ParsedQuery:
 def parse_query(query: str) -> ParsedQuery:
     q = _OP_NORM_RE.sub(lambda m: f" {m.group(1).upper()} ", query).strip()
     phrases = _PHRASE_RE.findall(q)
-    op_m = _OP_RE.search(q)
+    # the operator is looked for outside the quoted phrases only: a
+    # phrase's own "and"/"or"/"not" is phrase text, not an operator
+    op_m = _OP_RE.search(_PHRASE_RE.sub('""', q))
     if op_m and len(phrases) >= 2:
         return ParsedQuery(
             kind="boolean", op=op_m.group(1),

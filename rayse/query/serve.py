@@ -13,8 +13,10 @@ tiny query-term list, actors return local dfs, driver sums; (2) actors
 score with the injected global stats. Rank-identity with the single-process
 engine is asserted in tests/test_serve.py.
 
-Sizing: pool_size actors, each owning ``n_parts / pool_size`` partitions at
-``num_cpus=1``; at cluster scale resident set per actor = index / pool.
+Sizing: pool_size actors (at most one per part that holds postings), each
+owning about ``parts / pool_size`` of those parts at ``num_cpus=1``; at
+cluster scale resident set per actor = index / pool. A pool larger than
+Ray's CPU count is refused: its surplus actors would never be scheduled.
 """
 
 from __future__ import annotations
@@ -104,15 +106,21 @@ class SearchCluster:
                  cache_entries: int = 500, cache_ttl_s: float = 1800.0):
         import ray
 
-        from ..index.reader import IndexReader
+        from ..index.reader import present_parts
+        from ..index.stats import load_corpus_stats
 
-        meta_reader = IndexReader(index_dir, parts=[])  # stats only
-        self.n_docs = meta_reader.n_docs
-        n_parts = 1 << meta_reader.meta["part_bits"]
-        pool_size = min(pool_size, n_parts)
+        self.n_docs = load_corpus_stats(index_dir)["n_docs"]
+        parts = list(present_parts(index_dir))
+        pool_size = max(1, min(pool_size, len(parts)))
+        cpus = int(ray.cluster_resources().get("CPU", 0))
+        if pool_size > cpus:
+            raise ValueError(
+                f"pool_size {pool_size} exceeds Ray's {cpus} CPUs: each "
+                "QueryActor takes one CPU, so the surplus actors would "
+                "never start and queries would wait on them forever")
         assign: list[list[int]] = [[] for _ in range(pool_size)]
-        for p in range(n_parts):
-            assign[p % pool_size].append(p)
+        for i, p in enumerate(parts):
+            assign[i % pool_size].append(p)
         Remote = ray.remote(num_cpus=1)(QueryActor)
         self.actors = [Remote.remote(index_dir, parts) for parts in assign]
         self._ray = ray

@@ -5,7 +5,6 @@ test_skew_salting, test_scaling_smoke reduced)."""
 import glob
 import json
 import os
-from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
@@ -43,6 +42,10 @@ def _assert_same_index(a_dir: str, b_dir: str):
         assert a[k].equals(b[k]), k
     sa = json.load(open(os.path.join(a_dir, "corpus_stats.json")))
     sb = json.load(open(os.path.join(b_dir, "corpus_stats.json")))
+    # "shards" lists the build shards the stats count: it differs with
+    # the sharding, the stats themselves must not
+    sa.pop("shards")
+    sb.pop("shards")
     assert sa == sb
 
 
@@ -76,12 +79,52 @@ def test_resume_after_partial_build(ray_session, small_corpus, tmp_path):
 def test_rerun_is_noop(ray_session, small_corpus, tmp_path):
     out = tmp_path / "idx"
     cfg = IndexConfig()
-    build_index(small_corpus, str(out), cfg, concurrency=2, merge_concurrency=2)
-    m1 = Path(out / "_manifest" / "part-0.json").read_text()
+    r1 = build_index(small_corpus, str(out), cfg, concurrency=2,
+                     merge_concurrency=2)
+    man = out / "_manifest" / f"part-{r1.part_manifests[0]['part']}.json"
+    m1 = man.read_text()
     r2 = build_index(small_corpus, str(out), cfg, concurrency=2,
                      merge_concurrency=2)
-    assert Path(out / "_manifest" / "part-0.json").read_text() == m1
-    assert r2.n_docs > 0
+    assert man.read_text() == m1
+    assert r2.n_docs == r1.n_docs > 0
+    assert r2.part_manifests == r1.part_manifests
+
+
+def test_layout_holds_only_postings(ray_session, small_corpus, tmp_path):
+    """After a build, runs/ is empty and only parts with postings have a
+    segment, a manifest and a metrics.json row."""
+    out = tmp_path / "idx"
+    res = build_index(small_corpus, str(out), IndexConfig(),
+                      shard_target_bytes=1, concurrency=2,
+                      merge_concurrency=2)
+    assert os.listdir(out / "runs") == []
+    parts = sorted(m["part"] for m in res.part_manifests)
+    assert parts and all(m["n_postings"] > 0 for m in res.part_manifests)
+    assert sorted(int(p.split("=")[1])
+                  for p in os.listdir(out / "segments")) == parts
+    assert sorted(int(p[len("part-"):-len(".json")])
+                  for p in os.listdir(out / "_manifest")
+                  if p.startswith("part-")) == parts
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert [m["part"] for m in metrics["parts"]] == parts
+    assert len(parts) < 1 << IndexConfig().part_bits
+
+
+def test_missing_partition_fails_loudly(ray_session, small_corpus, tmp_path):
+    """A part whose manifest records postings but whose segment is gone
+    must make the reader raise, not serve a smaller corpus."""
+    import shutil
+
+    from rayse.index.reader import IndexReader
+
+    out = tmp_path / "idx"
+    res = build_index(small_corpus, str(out), IndexConfig(),
+                      concurrency=2, merge_concurrency=2)
+    IndexReader(str(out))
+    lost = res.part_manifests[-1]["part"]
+    shutil.rmtree(out / "segments" / f"part={lost}")
+    with pytest.raises(FileNotFoundError, match=str(lost)):
+        IndexReader(str(out))
 
 
 def test_multi_shard_equals_single_shard(ray_session, small_corpus, tmp_path):

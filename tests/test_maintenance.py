@@ -304,3 +304,48 @@ def test_compaction_filters_conv_map(dirs):
     assert "n_turns" in t.column_names
     # partial counts sum to the compacted index's n_docs exactly
     assert int(pc.sum(t["n_turns"]).as_py()) == IndexReader(idx_cmp).n_docs
+
+
+def test_compact_over_earlier_output(ray_session, tmp_path):
+    """Compacting into a directory that holds an earlier compaction
+    replaces it: a part that loses every posting the second time keeps
+    no segment or manifest from the first, so its conversations are not
+    served again."""
+    from rayse.index.reader import present_parts
+    from rayse.stages.doc_ids import doc_id_of, part_of
+
+    tbl = generate_block(0, 60)
+    tdir = tmp_path / "t"
+    tdir.mkdir()
+    pq.write_table(tbl, str(tdir / "000.parquet"))
+    cfg = IndexConfig(part_bits=5)
+    idx = str(tmp_path / "idx")
+    build_index(str(tdir), idx, cfg, shard_target_bytes=1,
+                concurrency=3, merge_concurrency=3)
+
+    convs = sorted(set(tbl["conv_id"].to_pylist()))
+    by_part: dict[int, list[str]] = {}
+    for c in convs:
+        by_part.setdefault(part_of(doc_id_of(c, 0), cfg.part_bits),
+                           []).append(c)
+    emptied = min(by_part, key=lambda p: len(by_part[p]))
+    first = [next(c for c in convs if c not in by_part[emptied])]
+    second = first + by_part[emptied]
+
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    compact_index(idx, out, extra_conv_ids=first)
+    assert emptied in present_parts(out)
+    compact_index(idx, out, extra_conv_ids=second)
+    compact_index(idx, fresh, extra_conv_ids=second)
+
+    assert emptied not in present_parts(out)
+    assert not os.path.exists(os.path.join(out, "_manifest",
+                                           f"part-{emptied}.json"))
+    assert present_parts(out).keys() == present_parts(fresh).keys()
+    gone = {conv_hash(c) for c in second}
+    eo, ef = SearchEngine(out), SearchEngine(fresh)
+    for q in QUERIES:
+        do, so = eo.search(q, BIG_K)
+        df_, sf_ = ef.search(q, BIG_K)
+        assert not any((int(x) >> TURN_BITS) in gone for x in do), q
+        assert np.array_equal(do, df_) and np.array_equal(so, sf_), q

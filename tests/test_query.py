@@ -99,6 +99,33 @@ def test_parser_routing():
     assert parse_query("the of and").terms == ()
 
 
+def test_parser_operator_outside_phrases():
+    """AND/OR/NOT inside a quoted phrase is phrase text, not the
+    boolean operator."""
+    q = parse_query('"rate and limit" OR "token bucket"')
+    assert (q.kind, q.op) == ("boolean", "OR")
+    assert q.left == tuple(analyze_phrase("rate and limit"))
+    assert q.right == tuple(analyze_phrase("token bucket"))
+    q = parse_query('"not this" AND "that or other"')
+    assert (q.kind, q.op) == ("boolean", "AND")
+    q = parse_query('"rate and limit"')
+    assert (q.kind, q.phrase) == ("phrase",
+                                  tuple(analyze_phrase("rate and limit")))
+
+
+def test_stopword_phrases_match_nothing(engine, oracle):
+    """A quoted phrase that analyzes to no terms, alone or inside a
+    boolean, returns no results instead of raising."""
+    for q in ['"a b"', '"the of" AND "rate"', '"the of" OR "the a"']:
+        ed, es = engine.search(q)
+        assert ed.size == es.size == 0, q
+        assert oracle.search(q)[0] == [], q
+    # the other side of an OR still matches
+    ed, _ = engine.search('"the of" OR "rate limit"')
+    od, _ = oracle.search('"the of" OR "rate limit"')
+    assert ed.size and [int(x) for x in ed] == od
+
+
 def test_empty_and_unknown_queries(engine, oracle):
     for q in ["", "the", "nosuchwordatallxyz", '"no such phrase here zz"']:
         ed, _ = engine.search(q)

@@ -49,6 +49,26 @@ def test_serving_role_identity(cluster, engine):
             assert ds_.tolist() == ls.tolist(), (q, kwargs)
 
 
+def test_cluster_stopword_phrases_match_nothing(cluster):
+    for q in ['"a b"', '"the of" AND "rate"']:
+        d, s = cluster.search(q, 10)
+        assert d.size == s.size == 0, q
+
+
+def test_cluster_refuses_pool_beyond_cpus(cluster, index_dir):
+    """More actors than Ray has CPUs would leave the surplus unscheduled
+    and the first query waiting forever: refuse before starting any."""
+    import ray
+
+    from rayse.index.reader import present_parts
+    from rayse.query.serve import SearchCluster
+
+    pool = int(ray.cluster_resources()["CPU"]) + 1
+    assert len(present_parts(index_dir)) >= pool   # not clamped by parts
+    with pytest.raises(ValueError, match="CPU"):
+        SearchCluster(index_dir, pool_size=pool)
+
+
 def test_result_cache_hit_identity(cluster, engine):
     """ST4 analog (`SearchController.java:33-143`): cached results are
     identical to fresh ones and hits skip the actor fan-out."""
