@@ -2,7 +2,7 @@
 ray job submit on fixed clusters").
 
     ray job submit -- python -m rayse.cli build --input /data/transcripts \
-        --out /data/index [--part-bits 12] [--strategy combine]
+        --out /data/index [--part-bits 12]
     ray job submit -- python -m rayse.cli query --index /data/index \
         --query '"rate limit exceeded"' [--k 10] [--mode or] \
         [--transcripts /data/transcripts]   # hydrated results
@@ -35,7 +35,7 @@ def cmd_build(args) -> int:
     cfg = IndexConfig(part_bits=args.part_bits,
                       with_positions=not args.no_positions,
                       clean_html=args.clean_html)
-    res = build_index(args.input, args.out, cfg, strategy=args.strategy,
+    res = build_index(args.input, args.out, cfg,
                       shard_target_bytes=args.shard_bytes)
     print(json.dumps({
         "n_docs": res.n_docs, "total_tokens": res.total_tokens,
@@ -299,8 +299,6 @@ def main(argv=None) -> int:
     b.add_argument("--input", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--part-bits", type=int, default=9)
-    b.add_argument("--strategy", default="combine",
-                   choices=["combine", "groupby_salted"])
     b.add_argument("--shard-bytes", type=int, default=2 << 30)
     b.add_argument("--no-positions", action="store_true")
     b.add_argument("--clean-html", action="store_true",

@@ -26,13 +26,9 @@ class IndexConfig:
     # fits a worker's cache-friendly zone and a serving actor's memory
     # (at 10^12 turns this wants 2^12+ together with more shards).
     part_bits: int = 8
-    # salted two-phase aggregation: within a partition, hot-term groups are
-    # split into up to 2^salt_bits doc_id-contiguous runs (north rule skew
-    # handling). Runs re-merge at compaction unless larger than
-    # compact_max_postings.
-    salt_bits: int = 3
-    # runs whose combined length is below this re-encode into a single row
-    # at compaction; larger terms keep doc_id-contiguous runs (bounded tasks)
+    # skew bound: a term with more postings than this in one partition is
+    # written as equal doc_id-contiguous segment rows of at most this many
+    # (ascending salt), by the build and by compaction and index merge alike
     compact_max_postings: int = 1 << 20
     block_size: int = 128          # postings per block-max block
     with_positions: bool = True    # store positional postings (phrase queries)
@@ -48,7 +44,18 @@ class IndexConfig:
     bm25: BM25Params = field(default_factory=BM25Params)
     # tokenize stage sizing
     tokenize_batch_size: int = 1024
-    tokenize_concurrency: int | None = None   # None → let Ray size tasks
     # conv_map sidecar (doc hydration J4: conv_hash -> conv_id); cheap
     # single-column scan per shard
     build_conv_map: bool = True
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "IndexConfig":
+        """The config an index was built with, from its
+        ``index_meta.json``."""
+        return cls(
+            part_bits=meta["part_bits"], block_size=meta["block_size"],
+            with_positions=meta["with_positions"],
+            compact_max_postings=meta["compact_max_postings"],
+            bm25=BM25Params(**meta["bm25"]),
+            analyzer=meta.get("analyzer", "porter"),
+            clean_html=meta.get("clean_html", False))

@@ -172,26 +172,3 @@ def segmented_cumsum_abs(gaps: np.ndarray, seg_starts: np.ndarray) -> np.ndarray
     base[1:] = cum[seg_starts[1:] - 1]
     seg_lens = np.diff(np.concatenate((seg_starts, [gaps.size])))
     return cum - np.repeat(base, seg_lens)
-
-
-def encode_small_deltas(vals) -> bytes:
-    """delta+varint for a short ascending python list (hot path in the
-    tokenize stage, where per-posting position lists are a handful of small
-    ints — python bytearray beats numpy call overhead there)."""
-    out = bytearray()
-    append = out.append
-    prev = 0
-    for v in vals:
-        g = v - prev
-        prev = v
-        while g >= 0x80:
-            append((g & 0x7F) | 0x80)
-            g >>= 7
-        append(g)
-    return bytes(out)
-
-
-def concat_position_blobs(blobs: list[bytes]) -> bytes:
-    """Position blobs of doc-disjoint runs concatenate directly (each doc's
-    block is self-delimited by its count prefix)."""
-    return b"".join(blobs)

@@ -11,15 +11,16 @@ segment index needs the Lucene two-phase realization instead:
    Lucene semantics (deleted docs count toward stats until segments
    merge), pinned by tests: surviving docs' scores are UNCHANGED by a
    logical delete.
-2. ``compact_index`` — PHYSICAL rewrite: every part's segment file is
-   filtered (postings of tombstoned conversations dropped, positions
-   relocated by byte-span gather — never decoded), corpus stats are
-   recomputed exactly from the dropped postings' (doc, dl) pairs, and
-   block-max metadata is rebuilt against the new avgdl. The result ranks
-   IDENTICALLY to a fresh build over the filtered corpus (pinned by
-   tests across bm25/phrase/boolean/role modes). A part that loses every
-   posting gets no segment and no manifest, like an empty part at build;
-   when ``out_dir`` held an earlier index, that part's old files go.
+2. ``compact_index`` — PHYSICAL rewrite: corpus stats are recomputed
+   exactly from the dropped postings' (doc, dl) pairs, then every part's
+   segment goes through the build's own merge
+   (``segments.merge_segment_rows``) without the tombstoned postings and
+   with block-max against the new avgdl. The result holds the same
+   segment tables as a fresh build over the filtered corpus (pinned by
+   tests, also with hot terms split into several rows). A part that
+   loses every posting gets no segment and no manifest, like an empty
+   part at build; when ``out_dir`` held an earlier index, that part's
+   old files go.
 
 Contract notes:
 - Turns whose every token was filtered by the analyzer carry no postings
@@ -46,16 +47,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..config import BM25Params
-from ..stages.doc_ids import TURN_BITS, conv_hash
-from .encoding import delta_encode, encode_varints
+from ..config import IndexConfig
+from ..stages.doc_ids import conv_hash
+from .encoding import decode_varints_concat, segmented_cumsum_abs
 from .reader import present_parts
 from .segments import (
     SEGMENT_FILE,
-    SEGMENT_SCHEMA,
-    bm25_tf,
-    filter_positions_blob,
+    merge_input,
+    merge_segment_rows,
     segment_info,
+    tombstoned,
     write_segment,
 )
 from .stats import load_corpus_stats, write_corpus_stats
@@ -108,100 +109,30 @@ def _compact_part_stats(seg_path: str, tombs: np.ndarray) -> tuple:
     (doc, dl) pairs over the part's tombstoned postings. Exact because a
     doc's postings never span parts."""
     tbl = pq.read_table(seg_path, columns=["df", "doc_ids", "dls"])
-    if tbl.num_rows == 0:
-        return 0, 0
-    from .encoding import decode_varints
-
-    del_docs: list[np.ndarray] = []
-    del_dls: list[np.ndarray] = []
-    for i in range(tbl.num_rows):
-        d = np.cumsum(decode_varints(tbl["doc_ids"][i].as_py()),
-                      dtype=np.uint64)
-        convs = d >> np.uint64(TURN_BITS)
-        pos = np.searchsorted(tombs, convs)
-        pos_c = np.minimum(pos, tombs.size - 1)
-        hit = tombs[pos_c] == convs
-        if hit.any():
-            del_docs.append(d[hit])
-            del_dls.append(decode_varints(tbl["dls"][i].as_py())[hit])
-    if not del_docs:
-        return 0, 0
-    docs = np.concatenate(del_docs)
-    dls = np.concatenate(del_dls)
-    uniq, first = np.unique(docs, return_index=True)
+    df_row = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+    row_starts = np.concatenate(([0], np.cumsum(df_row)[:-1]))
+    docs = segmented_cumsum_abs(
+        decode_varints_concat(tbl["doc_ids"].to_pylist()), row_starts)
+    hit = tombstoned(docs, tombs)
+    dls = decode_varints_concat(tbl["dls"].to_pylist())[hit]
+    uniq, first = np.unique(docs[hit], return_index=True)
     return int(uniq.size), int(dls[first].sum())
 
 
-def _compact_part_rewrite(part_dir: str, out_part_dir: str,
-                          tombs: np.ndarray, avgdl: float,
-                          params: BM25Params, block_size: int) -> dict:
-    """Rewrite one part's segment file without the tombstoned postings.
-    Terms keep their (term, salt) row split; rows that lose every posting
-    are dropped, and so is the part when no row is left. Positions move
-    by byte-span gather (never decoded)."""
-    seg_path = os.path.join(part_dir, SEGMENT_FILE)
-    tbl = pq.read_table(seg_path)
-    rows = {n: [] for n in SEGMENT_SCHEMA.names}
-    n_terms = 0
-    n_post = 0
-    prev_term = None
-    has_roles = "roles" in tbl.column_names
-    from .encoding import decode_varints
+def _rewrite_part(seg_paths: list[str], out_part_dir: str, avgdl: float,
+                  cfg: IndexConfig, tombs: np.ndarray | None,
+                  shards) -> dict:
+    """Write one part of a compacted or merged index: the segment rows of
+    ``seg_paths`` through the build's merge, without the ``tombs``
+    conversations and with block-max against ``avgdl``. A part left
+    without postings gets no segment."""
+    import pyarrow.dataset as pads
 
-    for i in range(tbl.num_rows):
-        d = np.cumsum(decode_varints(tbl["doc_ids"][i].as_py()),
-                      dtype=np.uint64)
-        if tombs.size:
-            convs = d >> np.uint64(TURN_BITS)
-            pos = np.searchsorted(tombs, convs)
-            pos_c = np.minimum(pos, tombs.size - 1)
-            keep = tombs[pos_c] != convs
-        else:
-            keep = np.ones(d.size, dtype=bool)
-        if not keep.any():
-            continue
-        tfs = decode_varints(tbl["tfs"][i].as_py())
-        dls = decode_varints(tbl["dls"][i].as_py())
-        pos_blob = tbl["positions"][i].as_py()
-        if keep.all():
-            kd, kt, kl = d, tfs, dls
-            kp = pos_blob
-            kr = tbl["roles"][i].as_py() if has_roles else b""
-        else:
-            kd, kt, kl = d[keep], tfs[keep], dls[keep]
-            kp = filter_positions_blob(pos_blob, tfs, keep)
-            if has_roles:
-                rb = np.frombuffer(tbl["roles"][i].as_py(), dtype=np.uint8)
-                kr = rb[keep].tobytes()
-            else:
-                kr = b""
-        term = tbl["term"][i].as_py()
-        n = kd.size
-        comp = bm25_tf(kt, kl, avgdl, params)
-        nblocks = (n + block_size - 1) // block_size
-        starts = np.arange(nblocks, dtype=np.int64) * block_size
-        rows["term"].append(term)
-        rows["salt"].append(tbl["salt"][i].as_py())
-        rows["df"].append(n)
-        rows["cf"].append(int(kt.sum()))
-        rows["doc_ids"].append(encode_varints(delta_encode(kd)))
-        rows["tfs"].append(encode_varints(kt.astype(np.uint64)))
-        rows["dls"].append(encode_varints(kl.astype(np.uint64)))
-        rows["roles"].append(kr)
-        rows["positions"].append(kp)
-        rows["block_max"].append(
-            np.maximum.reduceat(comp, starts).tolist())
-        rows["block_last"].append(
-            kd[np.minimum(starts + block_size - 1, n - 1)].tolist())
-        n_post += n
-        if term != prev_term:
-            n_terms += 1
-            prev_term = term
-
+    tbl = pa.concat_tables([merge_input(pads.dataset(p))
+                            for p in seg_paths]).sort_by("term")
+    seg, n_terms, n_post = merge_segment_rows(tbl, avgdl, cfg, tombs)
     if n_post:
-        info = segment_info(seg_path) or {}
-        write_segment(pa.table(rows, schema=SEGMENT_SCHEMA), out_part_dir,
-                      avgdl, info.get("shards", []))
+        write_segment(seg, out_part_dir, avgdl, shards)
     return {"n_terms": n_terms, "n_postings": n_post}
 
 
@@ -229,120 +160,10 @@ def _drop_stale_parts(out_dir: str, written) -> None:
 # part_bits), disjoint conversation sets (any shared conv hash raises —
 # the caller owns corpus partitioning), consistent positions/roles
 # availability. Parts are docID-range partitions in BOTH indexes, so
-# part=N of A and part=N of B merge independently — one Ray task per
-# part, no shuffle; only corpus stats (three integers per side) meet at
-# the driver.
+# part=N of A and part=N of B merge independently through the build's
+# merge — one Ray task per part, no shuffle; only corpus stats (three
+# integers per side) meet at the driver.
 # ---------------------------------------------------------------------------
-
-
-def _rows_by_term(seg_path: str) -> dict[str, list[dict]]:
-    """term -> its segment rows in ascending-salt order (file order —
-    segments are written sorted by (term, salt))."""
-    tbl = pq.read_table(seg_path)
-    out: dict[str, list[dict]] = {}
-    cols = tbl.column_names
-    for i in range(tbl.num_rows):
-        r = {c: tbl[c][i].as_py() for c in cols}
-        out.setdefault(r["term"], []).append(r)
-    return out
-
-
-def _merge_positions(blob_a: bytes, tfs_a: np.ndarray,
-                     blob_b: bytes, tfs_b: np.ndarray,
-                     order: np.ndarray) -> bytes:
-    """Positions blob of the merged posting list: each posting's
-    self-delimited [count][deltas] byte span gathered from either source
-    in merged doc order — pure byte gather, never decoded."""
-    if not blob_a and not blob_b:
-        return b""
-    from .segments import posting_byte_spans
-
-    sa, ea = (posting_byte_spans(blob_a, tfs_a) if tfs_a.size
-              else (np.empty(0, np.int64), np.empty(0, np.int64)))
-    sb, eb = (posting_byte_spans(blob_b, tfs_b) if tfs_b.size
-              else (np.empty(0, np.int64), np.empty(0, np.int64)))
-    starts = np.concatenate((sa, sb + len(blob_a)))
-    ends = np.concatenate((ea, eb + len(blob_a)))
-    buf = np.frombuffer(blob_a + blob_b, dtype=np.uint8)
-    ks, ke = starts[order], ends[order]
-    ln = ke - ks
-    total = int(ln.sum())
-    if total == 0:
-        return b""
-    out_cum = np.cumsum(ln)
-    out_begin = np.concatenate(([0], out_cum[:-1]))
-    idx = np.repeat(ks - out_begin, ln) + np.arange(total, dtype=np.int64)
-    return buf[idx].tobytes()
-
-
-def _merge_part(part_a: str | None, part_b: str | None, out_part_dir: str,
-                avgdl: float, params: BM25Params, block_size: int,
-                max_run: int = 1 << 17) -> dict:
-    """Merge one docID-range partition from both indexes. Each term's two
-    posting lists (doc-ascending, disjoint doc sets) interleave by doc_id;
-    rows re-run in ``max_run``-posting chunks with ascending salt;
-    block-max metadata is recomputed against the MERGED corpus avgdl."""
-    from .encoding import decode_varints, delta_decode
-    from .segments import encode_segment_row
-
-    def load(p):
-        return _rows_by_term(os.path.join(p, SEGMENT_FILE)) if p else {}
-
-    terms_a, terms_b = load(part_a), load(part_b)
-    rows = {n: [] for n in SEGMENT_SCHEMA.names}
-    n_terms = 0
-    n_post = 0
-
-    def decode_side(rlist):
-        d = np.concatenate([
-            np.cumsum(decode_varints(r["doc_ids"]), dtype=np.uint64)
-            for r in rlist])
-        tf = np.concatenate([decode_varints(r["tfs"]) for r in rlist])
-        dl = np.concatenate([decode_varints(r["dls"]) for r in rlist])
-        pos = b"".join(r["positions"] for r in rlist)
-        rb = b"".join(r["roles"] or b"" for r in rlist)
-        return d, tf, dl, pos, rb
-
-    for term in sorted(set(terms_a) | set(terms_b)):
-        ra, rb_rows = terms_a.get(term), terms_b.get(term)
-        if ra and rb_rows:
-            da, ta, la, pa_, roa = decode_side(ra)
-            db, tb, lb, pb_, rob = decode_side(rb_rows)
-            docs = np.concatenate((da, db))
-            order = np.argsort(docs, kind="stable")
-            d = docs[order]
-            if d.size > 1 and (d[1:] == d[:-1]).any():
-                raise ValueError(
-                    f"doc_id collision across indexes for term {term!r}; "
-                    "the inputs do not hold disjoint conversation sets")
-            t = np.concatenate((ta, tb))[order]
-            dl = np.concatenate((la, lb))[order]
-            pos = _merge_positions(pa_, ta, pb_, tb, order)
-            roles = (np.frombuffer(roa + rob, dtype=np.uint8)[order]
-                     .tobytes() if roa and rob else b"")
-        else:
-            d, t, dl, pos, roles = decode_side(ra or rb_rows)
-        # positions byte spans per posting, for run slicing
-        if pos:
-            from .segments import posting_byte_spans
-
-            ps, pe = posting_byte_spans(pos, t)
-        for s in range(0, d.size, max_run):
-            e = min(s + max_run, d.size)
-            run_pos = pos[ps[s]:pe[e - 1]] if pos else b""
-            row = encode_segment_row(term, s // max_run, d[s:e], t[s:e],
-                                     dl[s:e], run_pos, avgdl, params,
-                                     block_size)
-            row["roles"] = roles[s:e] if roles else b""
-            for k2, v in row.items():
-                rows[k2].append(v)
-        n_terms += 1
-        n_post += int(d.size)
-
-    if n_post:      # the merged index holds no runs: it holds no shards
-        write_segment(pa.table(rows, schema=SEGMENT_SCHEMA), out_part_dir,
-                      avgdl, [])
-    return {"n_terms": n_terms, "n_postings": n_post}
 
 
 def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
@@ -359,12 +180,13 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     same bound as the build's own collision detection)."""
     import ray
 
-    def jload(d, name):
-        with open(os.path.join(d, name)) as f:
-            return json.load(f)
+    def meta(d):
+        with open(os.path.join(d, "index_meta.json")) as f:
+            # "strategy" named a build option that never changed segments
+            return {k: v for k, v in json.load(f).items()
+                    if k != "strategy"}
 
-    meta_a, meta_b = jload(dir_a, "index_meta.json"), jload(
-        dir_b, "index_meta.json")
+    meta_a, meta_b = meta(dir_a), meta(dir_b)
     if meta_a != meta_b:
         raise ValueError("index_meta mismatch; refusing to merge "
                          f"{meta_a} vs {meta_b}")
@@ -393,20 +215,18 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     n_docs = stats_a["n_docs"] + stats_b["n_docs"]
     total_tokens = stats_a["total_tokens"] + stats_b["total_tokens"]
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
-    params = BM25Params(**meta_a.get("bm25", {}))
-    block_size = meta_a.get("block_size", 128)
+    cfg = IndexConfig.from_meta(meta_a)
 
     pa_map, pb_map = present_parts(dir_a), present_parts(dir_b)
     os.makedirs(out_dir, exist_ok=True)
-    task = ray.remote(_merge_part)
-    refs = []
+    task = ray.remote(_rewrite_part)
     pids = sorted(set(pa_map) | set(pb_map))
-    for pid in pids:
-        refs.append(task.remote(
-            pa_map.get(pid), pb_map.get(pid),
-            os.path.join(out_dir, "segments", f"part={pid}"),
-            avgdl, params, block_size))
-    part_stats = ray.get(refs)
+    # the merged index holds no runs: its segments hold no shards
+    part_stats = ray.get([task.remote(
+        [os.path.join(m[pid], SEGMENT_FILE)
+         for m in (pa_map, pb_map) if pid in m],
+        os.path.join(out_dir, "segments", f"part={pid}"),
+        avgdl, cfg, None, []) for pid in pids])
 
     with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
         json.dump(meta_a, f, indent=1)
@@ -502,13 +322,13 @@ def compact_index(index_dir: str, out_dir: str,
     stats = load_corpus_stats(index_dir)
     with open(os.path.join(index_dir, "index_meta.json")) as f:
         meta = json.load(f)
-    part_dirs = list(present_parts(index_dir).values())
+    seg_paths = {pid: os.path.join(d, SEGMENT_FILE)
+                 for pid, d in present_parts(index_dir).items()}
 
     if tombs.size:
         stats_task = ray.remote(_compact_part_stats)
-        refs = [stats_task.remote(os.path.join(d, SEGMENT_FILE), tombs)
-                for d in part_dirs]
-        partials = ray.get(refs)
+        partials = ray.get([stats_task.remote(p, tombs)
+                            for p in seg_paths.values()])
         n_del = sum(p[0] for p in partials)
         tok_del = sum(p[1] for p in partials)
         # Exact doc-count adjustment from the conv_map's per-conv turn
@@ -525,33 +345,28 @@ def compact_index(index_dir: str, out_dir: str,
     n_docs = stats["n_docs"] - n_del
     total_tokens = stats["total_tokens"] - tok_del
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
-    params = BM25Params(**meta.get("bm25", {}))
-    block_size = meta.get("block_size", 128)
 
     os.makedirs(out_dir, exist_ok=True)
-    rewrite_task = ray.remote(_compact_part_rewrite)
-    refs = []
-    for d in part_dirs:
-        pid = d.rsplit("=", 1)[1]
-        refs.append(rewrite_task.remote(
-            d, os.path.join(out_dir, "segments", f"part={pid}"),
-            tombs, avgdl, params, block_size))
-    part_stats = ray.get(refs)
+    task = ray.remote(_rewrite_part)
+    cfg = IndexConfig.from_meta(meta)
+    part_stats = ray.get([task.remote(
+        [p], os.path.join(out_dir, "segments", f"part={pid}"), avgdl, cfg,
+        tombs, (segment_info(p) or {}).get("shards", []))
+        for pid, p in seg_paths.items()])
 
     write_corpus_stats(out_dir, n_docs, total_tokens, stats["shards"])
     with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
         json.dump(meta, f, indent=1)
     man_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(man_dir, exist_ok=True)
-    _drop_stale_parts(out_dir, [d.rsplit("=", 1)[1] for d, ps
-                                in zip(part_dirs, part_stats)
+    _drop_stale_parts(out_dir, [pid for pid, ps
+                                in zip(seg_paths, part_stats)
                                 if ps["n_postings"]])
-    for d, ps in zip(part_dirs, part_stats):
+    for pid, ps in zip(seg_paths, part_stats):
         if not ps["n_postings"]:
             continue
-        pid = d.rsplit("=", 1)[1]
         with open(os.path.join(man_dir, f"part-{pid}.json"), "w") as f:
-            json.dump({"part": int(pid), "avgdl": avgdl,
+            json.dump({"part": pid, "avgdl": avgdl,
                        "compacted_from": os.path.abspath(index_dir),
                        "n_tombstoned_convs": int(tombs.size), **ps}, f)
     remap_p = os.path.join(index_dir, "_manifest", "conv_remap.json")

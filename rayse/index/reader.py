@@ -60,6 +60,17 @@ def present_parts(index_dir: str,
     return dict(sorted(dirs.items()))
 
 
+def segment_files(index_dir: str) -> list[str]:
+    """Segment file paths of the ``present_parts``, in ascending part
+    order. Raises ``FileNotFoundError`` like ``present_parts``, and when
+    the index has no segment at all."""
+    files = [os.path.join(d, SEGMENT_FILE)
+             for d in present_parts(index_dir).values()]
+    if not files:
+        raise FileNotFoundError(f"no segment files under {index_dir}")
+    return files
+
+
 def _edit1(a: str, b: str) -> bool:
     """Levenshtein(a, b) <= 1, specialized: equal; same length with
     exactly one substitution; or length-diff 1 with one deletion."""
@@ -276,13 +287,9 @@ class IndexReader:
         searchsorted membership on the conv-hash high bits); block-max
         metadata is rebuilt exactly when anything is dropped."""
         from ..config import BM25Params
-        from ..stages.doc_ids import TURN_BITS
-        from .segments import filter_postings
+        from .segments import filter_postings, tombstoned
 
-        convs = pl.doc_ids >> np.uint64(TURN_BITS)
-        pos = np.searchsorted(self.tombstones, convs)
-        pos_c = np.minimum(pos, self.tombstones.size - 1)
-        hit = self.tombstones[pos_c] == convs
+        hit = tombstoned(pl.doc_ids, self.tombstones)
         if not hit.any():
             return pl
         return filter_postings(

@@ -17,9 +17,12 @@ inside one document partition:
                        bound source for block-max WAND skipping)
     block_last: list<uint64>  (last doc_id of each block)
 
-Most terms have exactly one row (salt 0 after compaction); hot terms keep
-multiple runs ordered by ascending salt == ascending doc_id range (north
-rule: salted two-phase aggregation). Decoders concatenate runs in salt order.
+Most terms have exactly one row (salt 0); a term with more than
+``compact_max_postings`` postings in a part is split into doc_id-contiguous
+rows of equal size, ordered by ascending salt == ascending doc_id range.
+Decoders concatenate rows in salt order. ``merge_segment_rows`` is the one
+function that writes segment rows: the build, append, compaction and index
+merge all call it.
 
 Replaces `inverted_index` + `word_position` PostgreSQL rows
 (`Indexer/Entities/InvertedIndex.java:9-37`, `WordPosition.java:8-34`).
@@ -39,12 +42,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..config import BM25Params
+from ..config import BM25Params, IndexConfig
+from ..stages.doc_ids import TURN_BITS
 from .encoding import (
+    binary_array_from_offsets,
     decode_varints,
+    decode_varints_concat,
     delta_decode,
-    delta_encode,
-    encode_varints,
+    encode_varints_offsets,
+    segmented_cumsum_abs,
 )
 
 SEGMENT_SCHEMA = pa.schema([
@@ -97,49 +103,6 @@ def bm25_tf(tf: np.ndarray, dl: np.ndarray, avgdl: float, p: BM25Params) -> np.n
     tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl))."""
     f = tf.astype(np.float64)
     return f * (p.k1 + 1.0) / (f + p.k1 * (1.0 - p.b + p.b * (dl.astype(np.float64) / avgdl)))
-
-
-def assemble_positions(tfs: np.ndarray, pos_blobs: list[bytes]) -> bytes:
-    """Per-posting offset blobs (no count prefix, from the tokenize stage)
-    -> one [varint count][deltas]* stream aligned with doc_ids. Streams of
-    doc-disjoint runs concatenate directly (each doc block self-delimits)."""
-    chunks = bytearray()
-    append = chunks.append
-    for tf, blob in zip(tfs.tolist(), pos_blobs):
-        g = int(tf)
-        while g >= 0x80:
-            append((g & 0x7F) | 0x80)
-            g >>= 7
-        append(g)
-        chunks.extend(blob)
-    return bytes(chunks)
-
-
-def encode_segment_row(term: str, salt: int, doc_ids: np.ndarray,
-                       tfs: np.ndarray, dls: np.ndarray,
-                       positions: bytes,
-                       avgdl: float, params: BM25Params,
-                       block_size: int) -> dict:
-    """Build one segment row dict from doc_id-ascending posting arrays."""
-    n = doc_ids.size
-    comp = bm25_tf(tfs, dls, avgdl, params)
-    nblocks = (n + block_size - 1) // block_size
-    pad = nblocks * block_size - n
-    comp_p = np.pad(comp, (0, pad), constant_values=-np.inf)
-    block_max = comp_p.reshape(nblocks, block_size).max(axis=1)
-    block_last = doc_ids[np.minimum(np.arange(1, nblocks + 1) * block_size - 1, n - 1)]
-    return {
-        "term": term,
-        "salt": salt,
-        "df": int(n),
-        "cf": int(tfs.sum()),
-        "doc_ids": encode_varints(delta_encode(doc_ids)),
-        "tfs": encode_varints(tfs.astype(np.uint64)),
-        "dls": encode_varints(dls.astype(np.uint64)),
-        "positions": positions,
-        "block_max": block_max.tolist(),
-        "block_last": block_last.tolist(),
-    }
 
 
 class DecodedPostings:
@@ -231,22 +194,35 @@ def posting_byte_spans(blob: bytes, tfs: np.ndarray):
     return starts, ends
 
 
+def gather_positions(blob: bytes, tfs: np.ndarray, take: np.ndarray):
+    """The position slices of the postings ``take`` (indices or a mask),
+    in that order: (uint8 array, start of each slice in it). A byte
+    gather: no varint is decoded."""
+    starts, ends = posting_byte_spans(blob, tfs)
+    ks = starts[take]
+    ln = ends[take] - ks
+    out_cum = np.cumsum(ln)
+    out_begin = out_cum - ln
+    idx = (np.repeat(ks - out_begin, ln)
+           + np.arange(int(out_cum[-1]) if ln.size else 0, dtype=np.int64))
+    return np.frombuffer(blob, dtype=np.uint8)[idx], out_begin
+
+
 def filter_positions_blob(blob: bytes, tfs: np.ndarray,
                           keep: np.ndarray) -> bytes:
     """The kept postings' position slices, re-concatenated (byte gather —
     no varint decode). Empty blob (positions disabled) passes through."""
     if not blob:
         return b""
-    starts, ends = posting_byte_spans(blob, tfs)
-    ks, ke = starts[keep], ends[keep]
-    ln = ke - ks
-    if ln.size == 0 or int(ln.sum()) == 0:
-        return b""
-    out_cum = np.cumsum(ln)
-    out_begin = np.concatenate(([0], out_cum[:-1]))
-    idx = (np.repeat(ks - out_begin, ln)
-           + np.arange(int(out_cum[-1]), dtype=np.int64))
-    return np.frombuffer(blob, dtype=np.uint8)[idx].tobytes()
+    return gather_positions(blob, tfs, keep)[0].tobytes()
+
+
+def tombstoned(doc_ids: np.ndarray, tombstones: np.ndarray) -> np.ndarray:
+    """Mask of the postings whose conversation hash (the doc_id's high
+    bits) is in the sorted, non-empty ``tombstones`` array."""
+    convs = doc_ids >> np.uint64(TURN_BITS)
+    pos = np.minimum(np.searchsorted(tombstones, convs), tombstones.size - 1)
+    return tombstones[pos] == convs
 
 
 def build_block_arrays(doc_ids: np.ndarray, comp: np.ndarray,
@@ -280,3 +256,198 @@ def filter_postings(pl: "DecodedPostings", keep: np.ndarray,
     comp = bm25_tf(t, dl, avgdl, params)
     bm, bl, bs = build_block_arrays(d, comp, block_size)
     return DecodedPostings(d, t, dl, pos, bm, bl, bs, roles)
+
+
+# ---------------------------------------------------------------------------
+# Segment writer: the one path from posting rows to segment rows. Build and
+# append feed it a part's runs (plus its segment when it has one),
+# compaction a part's segment plus the tombstones, and the index merge
+# part=N of both inputs.
+# ---------------------------------------------------------------------------
+
+MERGE_SCHEMA = pa.schema([
+    SEGMENT_SCHEMA.field(n)
+    for n in ("term", "df", "cf", "doc_ids", "tfs", "dls", "roles",
+              "positions")])
+
+
+def merge_input(dset) -> pa.Table:
+    """Runs or a segment (a ``pyarrow.dataset``) as merge input: the
+    columns both share, with null ``roles`` where the source predates
+    roles."""
+    names = dset.schema.names
+    tbl = dset.to_table(columns=[n for n in MERGE_SCHEMA.names
+                                 if n in names], use_threads=False)
+    return pa.table(
+        [tbl[f.name] if f.name in names else pa.nulls(tbl.num_rows, f.type)
+         for f in MERGE_SCHEMA], schema=MERGE_SCHEMA)
+
+
+def merge_segment_rows(tbl: pa.Table, avgdl: float, cfg: IndexConfig,
+                       tombstones: np.ndarray | None = None):
+    """Vectorized whole-part merge: decode every row blob in ONE varint
+    pass, lexsort all postings by (term, doc_id), re-encode with ONE
+    segmented varint pass. Rows (``MERGE_SCHEMA``, runs or segment rows:
+    both are gap-coded with an absolute first doc id) must be grouped by
+    term; their order within a term does not change the output. Postings
+    of conversations in the sorted ``tombstones`` array are dropped. A
+    ``(term, doc_id)`` seen twice raises ``ValueError``.
+
+    Returns (segment_table, n_terms, n_postings)."""
+    cap = cfg.compact_max_postings
+    bs = cfg.block_size
+
+    df_row = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+    # dictionary-encode terms: int codes for grouping, strings only
+    # materialized once for the output column (no object arrays)
+    tdict = tbl["term"].combine_chunks().dictionary_encode()
+    tcodes = tdict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    tvalues = tdict.dictionary
+    n_rows = df_row.size
+    empty = (SEGMENT_SCHEMA.empty_table(), 0, 0)
+    if n_rows == 0:
+        return empty
+
+    row_starts = np.zeros(n_rows, dtype=np.int64)
+    np.cumsum(df_row[:-1], out=row_starts[1:])
+    doc_abs = segmented_cumsum_abs(
+        decode_varints_concat(tbl["doc_ids"].to_pylist()), row_starts)
+    tfs = decode_varints_concat(tbl["tfs"].to_pylist())
+    dls = decode_varints_concat(tbl["dls"].to_pylist())
+
+    new_term = np.ones(n_rows, dtype=bool)
+    new_term[1:] = tcodes[1:] != tcodes[:-1]
+    term_id_row = np.cumsum(new_term) - 1
+    term_id = np.repeat(term_id_row, df_row)
+    uniq_codes = tcodes[new_term]   # term_id -> dictionary code
+
+    # pre-role runs and segments carry no roles blob: code 0
+    roles_all = np.frombuffer(
+        b"".join(b if b is not None else b"\x00" * int(d)
+                 for b, d in zip(tbl["roles"].to_pylist(),
+                                 df_row.tolist())),
+        dtype=np.uint8)
+
+    order = np.lexsort((doc_abs, term_id))
+    if tombstones is not None and tombstones.size:
+        order = order[~tombstoned(doc_abs[order], tombstones)]
+    n_post = order.size
+    if n_post == 0:
+        return empty
+    sd = doc_abs[order]
+    st = tfs[order]
+    sl = dls[order]
+    sr = roles_all[order]
+    stid = term_id[order]
+
+    twice = np.flatnonzero((stid[1:] == stid[:-1]) & (sd[1:] == sd[:-1]))
+    if twice.size:
+        i = int(twice[0])
+        term = tvalues[int(uniq_codes[stid[i]])].as_py()
+        raise ValueError(
+            f"doc_id {int(sd[i])} appears twice in the postings of term "
+            f"{term!r}; the inputs do not hold disjoint conversation sets")
+
+    # output rows: per term, split into <=cap chunks (deterministic)
+    t_starts = np.concatenate(
+        ([0], np.flatnonzero(stid[1:] != stid[:-1]) + 1))
+    t_ends = np.concatenate((t_starts[1:], [n_post]))
+    out_term_idx: list[int] = []
+    out_salt: list[int] = []
+    out_start: list[int] = []
+    out_end: list[int] = []
+    for s, e in zip(t_starts.tolist(), t_ends.tolist()):
+        n = e - s
+        if n <= cap:
+            out_term_idx.append(int(stid[s]))
+            out_salt.append(0)
+            out_start.append(s)
+            out_end.append(e)
+        else:
+            n_chunks = (n + cap - 1) // cap
+            size = (n + n_chunks - 1) // n_chunks
+            for ci in range(n_chunks):
+                out_term_idx.append(int(stid[s]))
+                out_salt.append(ci)
+                out_start.append(s + ci * size)
+                out_end.append(min(s + (ci + 1) * size, e))
+    ostart = np.asarray(out_start, dtype=np.int64)
+    oend = np.asarray(out_end, dtype=np.int64)
+
+    # delta-gap re-encode: diffs within rows, absolute at row starts;
+    # each column encoded ONCE into a contiguous buffer + offsets ->
+    # zero-copy arrow binary columns (no per-row bytes objects)
+    gaps = sd.copy()
+    gaps[1:] -= sd[:-1]          # uint64 wrap at boundaries is overwritten
+    gaps[ostart] = sd[ostart]
+    doc_out = binary_array_from_offsets(
+        *encode_varints_offsets(gaps, ostart))
+    tf_out = binary_array_from_offsets(
+        *encode_varints_offsets(st, ostart))
+    dl_out = binary_array_from_offsets(
+        *encode_varints_offsets(sl, ostart))
+    role_offsets = np.empty(len(ostart) + 1, dtype=np.int64)
+    role_offsets[:-1] = ostart
+    role_offsets[-1] = n_post
+    role_out = binary_array_from_offsets(sr.tobytes(), role_offsets)
+    df_out = (oend - ostart).astype(np.int64)
+    cf_out = np.add.reduceat(st.astype(np.int64), ostart)
+
+    # block-max metadata: ONE reduceat over all output rows' blocks
+    comp = bm25_tf(st, sl, avgdl, cfg.bm25)
+    n_blocks_row = (df_out + bs - 1) // bs
+    blk_row_off = np.zeros(len(ostart) + 1, dtype=np.int64)
+    np.cumsum(n_blocks_row, out=blk_row_off[1:])
+    total_blocks = int(blk_row_off[-1])
+    within = (np.arange(total_blocks, dtype=np.int64)
+              - np.repeat(blk_row_off[:-1], n_blocks_row))
+    blk_starts = np.repeat(ostart, n_blocks_row) + within * bs
+    blk_last_idx = np.minimum(blk_starts + bs - 1,
+                              np.repeat(oend - 1, n_blocks_row))
+    bm_flat = np.maximum.reduceat(comp, blk_starts)
+    bl_flat = sd[blk_last_idx]
+    block_max = pa.ListArray.from_arrays(
+        pa.array(blk_row_off, pa.int32()),
+        pa.array(bm_flat, pa.float64()))
+    block_last = pa.ListArray.from_arrays(
+        pa.array(blk_row_off, pa.int32()),
+        pa.array(bl_flat, pa.uint64()))
+
+    if cfg.with_positions:
+        # Positions are NEVER decoded: per-posting varint byte slices are
+        # self-delimited ([count][deltas restarting at 0]) and thus
+        # relocatable — permute RAW BYTES (uint8 gather, ~1-2 B/value)
+        # instead of uint64 value streams (8 B/value): the merge's memory
+        # traffic is what bounds multi-worker scaling.
+        out_bytes, out_begin = gather_positions(
+            b"".join(tbl["positions"].to_pylist()), tfs, order)
+        row_offsets = np.empty(len(ostart) + 1, dtype=np.int64)
+        row_offsets[:-1] = out_begin[ostart]
+        row_offsets[-1] = out_bytes.size
+        pos_out = binary_array_from_offsets(out_bytes.tobytes(),
+                                            row_offsets)
+    else:
+        pos_out = binary_array_from_offsets(
+            b"", np.zeros(len(ostart) + 1, dtype=np.int64))
+
+    out_codes = uniq_codes[np.asarray(out_term_idx, dtype=np.int64)]
+    term_col = pa.compute.take(tvalues, pa.array(out_codes, pa.int64()))
+    seg_tbl = pa.table(
+        {
+            "term": pa.compute.cast(term_col, pa.string()),
+            "salt": pa.array(out_salt, pa.int32()),
+            "df": pa.array(df_out, pa.int64()),
+            "cf": pa.array(cf_out, pa.int64()),
+            "doc_ids": doc_out,
+            "tfs": tf_out,
+            "dls": dl_out,
+            "roles": role_out,
+            "positions": pos_out,
+            "block_max": pa.compute.cast(block_max,
+                                         pa.list_(pa.float64())),
+            "block_last": pa.compute.cast(block_last,
+                                          pa.list_(pa.uint64())),
+        },
+        schema=SEGMENT_SCHEMA,
+    )
+    return seg_tbl, int(t_starts.size), n_post

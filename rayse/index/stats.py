@@ -22,6 +22,8 @@ import os
 
 import pyarrow as pa
 
+from .reader import segment_files
+
 
 def write_corpus_stats(index_dir: str, n_docs: int, total_tokens: int,
                        shards) -> dict:
@@ -71,11 +73,8 @@ def term_stats_ds(index_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    files = sorted(glob.glob(os.path.join(
-        index_dir, "segments", "part=*", "segment.parquet")))
-    if not files:
-        raise FileNotFoundError(f"no segment files under {index_dir}")
-    ds = rd.read_parquet(files, columns=["term", "df", "cf"])
+    ds = rd.read_parquet(segment_files(index_dir),
+                         columns=["term", "df", "cf"])
     agg = ds.groupby("term").aggregate(Sum("df"), Sum("cf"))
 
     def rename(batch: pa.Table) -> pa.Table:

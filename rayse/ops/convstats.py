@@ -327,20 +327,17 @@ def _dedup_conv_map(index_dir: str):
 def conv_keywords(index_dir: str, k: int = 3,
                   broadcast_max: int = BROADCAST_MAX) -> pa.Table:
     """Top-k TF-IDF keywords per conversation, from the index itself."""
-    import glob as _glob
-
     import ray
     import ray.data as rd
 
+    from ..index.reader import segment_files
     from ..index.stats import term_stats_ds
     from .exchange import exchange_by_key, hash_join
     from .textstats import _word_arr_slices, fnv64_slices
 
     with open(os.path.join(index_dir, "corpus_stats.json")) as f:
         n_docs = int(json.load(f)["n_docs"])
-    files = sorted(_glob.glob(os.path.join(
-        index_dir, "segments", "part=*", "segment.parquet")))
-    seg = rd.read_parquet(files, columns=["term", "df", "doc_ids", "tfs"])
+    seg = rd.read_parquet(segment_files(index_dir), columns=["term", "df", "doc_ids", "tfs"])
     partials = seg.map_batches(_kw_explode_batch, batch_format="pyarrow",
                                zero_copy_batch=True)
 

@@ -165,19 +165,13 @@ def _plan_fold(tbl: pa.Table) -> pa.Table:
 def postings_size_plan(index_dir: str) -> pa.Table:
     """Per-term optimized-layout size plan, term-sorted
     (vocabulary-sized output)."""
-    import glob
-    import os
-
     import ray
     import ray.data as rd
 
+    from ..index.reader import segment_files
     from .exchange import exchange_by_key
 
-    files = sorted(glob.glob(os.path.join(
-        index_dir, "segments", "part=*", "segment.parquet")))
-    if not files:
-        raise FileNotFoundError(f"no segment files under {index_dir}")
-    ds = rd.read_parquet(files, columns=["term", "df", "cf", "doc_ids",
+    ds = rd.read_parquet(segment_files(index_dir), columns=["term", "df", "cf", "doc_ids",
                                          "tfs", "dls", "positions"])
     partials = ds.map_batches(_chunk_partials_batch,
                               batch_format="pyarrow")
@@ -274,21 +268,14 @@ def _remap_globalize(tbl: pa.Table, off: int) -> pa.Table:
 def postings_remap_plan(index_dir: str) -> pa.Table:
     """(term, df, remap_docvb, remap_gamma): per-term doc-gap cost under
     dense doc-id reassignment, term-sorted."""
-    import glob
-    import os
-
     import ray
     import ray.data as rd
 
+    from ..index.reader import segment_files
     from .exchange import exchange_by_key
 
     # NUMERIC part order: offsets must follow ascending doc ranges
-    files = sorted(
-        glob.glob(os.path.join(index_dir, "segments", "part=*",
-                               "segment.parquet")),
-        key=lambda p: int(p.rsplit("part=", 1)[1].split(os.sep)[0]))
-    if not files:
-        raise FileNotFoundError(f"no segment files under {index_dir}")
+    files = segment_files(index_dir)
 
     # partial tables stay in the object store: only the parts-sized
     # distinct-count vector reaches the driver for the offset cumsum

@@ -6,7 +6,7 @@ threads upserting PostgreSQL rows).
 Pipeline (per input shard, then a per-part merge):
 
   read_parquet(transcripts, columns=[conv_id, turn_idx, text])
-    → map_batches(TokenizeStage, batch_format="pyarrow")     # actor pool;
+    → map_batches(TokenizeStage, batch_format="pyarrow")     # Ray tasks;
         # phase-1 combiner: per-batch compressed posting runs
     → write_parquet(runs/shard=S/, partition_cols=["part"])  # file-based
         # exchange: the groupby-term shuffle, realized as partition-by-
@@ -37,11 +37,11 @@ throughput metrics; analog of the crawler's DB-status resume,
 `CrawlerMainProcess.java:248-260`).
 
 Skew: two-phase aggregation — the tokenize combiner bounds any term's
-phase-1 row to one batch, and the merge splits hot terms into doc_id-
-contiguous output runs of ≤ ``compact_max_postings`` postings.  The
-alternative ``strategy="groupby_salted"`` path does the literal
-``groupby(part, term, salt)`` with doc_id-derived salts; both strategies
-produce byte-identical segments (asserted by tests/test_skew_salting.py).
+phase-1 row to one batch, and the merge (``segments.merge_segment_rows``,
+shared with compaction and ``merge_indexes``) splits hot terms into
+doc_id-contiguous output rows of ≤ ``compact_max_postings`` postings.
+Sharding does not change the segments (tests/test_build.py
+``test_multi_shard_equals_single_shard``).
 """
 
 from __future__ import annotations
@@ -53,27 +53,19 @@ import shutil
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from ..index.encoding import (
-    binary_array_from_offsets,
-    decode_varints_concat,
-    encode_varints,
-    encode_varints_offsets,
-    segmented_cumsum_abs,
-)
 from ..index.segments import (
     SEGMENT_FILE,
-    SEGMENT_SCHEMA,
-    bm25_tf,
+    merge_input,
+    merge_segment_rows,
     segment_info,
     write_segment,
 )
 from ..index.stats import load_corpus_stats, write_corpus_stats
-from ..stages.tokenize import RUNS_SCHEMA, TokenizeStage
+from ..stages.tokenize import TokenizeStage
 
 
 # --------------------------------------------------------------------------
@@ -178,52 +170,9 @@ def _tokenize_task(batch: pa.Table, *, part_bits: int,
             analyzer=analyzer)
     return stage(batch)
 
-def _encode_group(group: pa.Table) -> pa.Table:
-    """groupby(part, term, salt).map_groups encoder for the salted strategy.
-
-    One group = one (part, term, salt)'s raw posting rows; sort by doc_id,
-    emit one compressed run row (RUNS_SCHEMA)."""
-    doc = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order = np.argsort(doc, kind="stable")
-    doc = doc[order]
-    tf = group["tf"].to_numpy(zero_copy_only=False).astype(np.uint64)[order]
-    dl = group["doc_len"].to_numpy(zero_copy_only=False).astype(np.uint64)[order]
-    role = group["role"].to_numpy(zero_copy_only=False).astype(np.uint8)[order]
-    pos_blobs = group["pos_enc"].to_pylist()
-    # positions: [count varint][delta blob] per doc, in doc order
-    chunks = bytearray()
-    tf_list = tf.tolist()
-    for j, i in enumerate(order.tolist()):
-        g = tf_list[j]
-        while g >= 0x80:
-            chunks.append((g & 0x7F) | 0x80)
-            g >>= 7
-        chunks.append(g)
-        chunks.extend(pos_blobs[i])
-    gaps = np.empty_like(doc)
-    gaps[0] = doc[0]
-    np.subtract(doc[1:], doc[:-1], out=gaps[1:])
-    return pa.table(
-        {
-            "part": group["part"][:1],
-            "term": group["term"][:1],
-            "salt": group["salt"][:1],
-            "df": pa.array([len(doc)], pa.int64()),
-            "cf": pa.array([int(tf.sum())], pa.int64()),
-            "min_doc": pa.array([int(doc[0])], pa.uint64()),
-            "doc_ids": pa.array([encode_varints(gaps)], pa.binary()),
-            "tfs": pa.array([encode_varints(tf)], pa.binary()),
-            "dls": pa.array([encode_varints(dl)], pa.binary()),
-            "roles": pa.array([role.tobytes()], pa.binary()),
-            "positions": pa.array([bytes(chunks)], pa.binary()),
-        },
-        schema=RUNS_SCHEMA,
-    )
-
 
 def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
-                         cfg: IndexConfig, strategy: str = "combine",
-                         concurrency: int | None = None,
+                         cfg: IndexConfig, *,
                          remap: dict | None = None) -> dict:
     """Run phase 1 for one shard; returns the manifest dict (also written)."""
     import ray
@@ -261,41 +210,19 @@ def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
         ds = ds.map_batches(clean_text_batch, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    if concurrency is None:
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 4)) - 1)
-
-    if strategy == "combine":
-        # Stateless Ray tasks over the warm worker pool: the analyzer's
-        # stem/stop cache is module state shared per worker process, so the
-        # actor-pool benefit (state amortization) comes for free while
-        # scheduling stays elastic and pays no pool spin-up. (The stage
-        # class itself is actor-pool-capable; the groupby_salted path and
-        # heavier stages use explicit pools.)
-        runs = ds.map_batches(
-            _tokenize_task,
-            fn_kwargs=dict(part_bits=cfg.part_bits,
-                           with_positions=cfg.with_positions,
-                           remap=remap, analyzer=cfg.analyzer),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.tokenize_batch_size,
-        )
-    elif strategy == "groupby_salted":
-        postings = ds.map_batches(
-            TokenizeStage,
-            fn_constructor_kwargs=dict(part_bits=cfg.part_bits,
-                                       with_positions=cfg.with_positions,
-                                       emit="postings", salt_bits=cfg.salt_bits,
-                                       remap=remap, analyzer=cfg.analyzer),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=cfg.tokenize_batch_size,
-            concurrency=concurrency,
-        )
-        runs = postings.groupby(["part", "term", "salt"]).map_groups(
-            _encode_group, batch_format="pyarrow")
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    # Stateless Ray tasks over the warm worker pool: the analyzer's
+    # stem/stop cache is module state shared per worker process, so the
+    # actor-pool benefit (state amortization) comes for free while
+    # scheduling stays elastic and pays no pool spin-up.
+    runs = ds.map_batches(
+        _tokenize_task,
+        fn_kwargs=dict(part_bits=cfg.part_bits,
+                       with_positions=cfg.with_positions,
+                       remap=remap, analyzer=cfg.analyzer),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=cfg.tokenize_batch_size,
+    )
 
     tmp = os.path.join(out_dir, "runs", f"shard={shard_id}.tmp")
     final = os.path.join(out_dir, "runs", f"shard={shard_id}")
@@ -315,7 +242,6 @@ def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
         "n_turns": int(n_turns),
         "n_tokens": _run_tokens(final),
         "has_role": has_role,
-        "strategy": strategy,
         "wall_s": round(wall, 3),
         "turns_per_sec": round(n_turns / wall, 1) if wall > 0 else None,
         "ray_stage_stats": stage_stats,
@@ -353,24 +279,6 @@ def compute_corpus_stats(out_dir: str, shard_mans: list[dict]) -> dict:
 # --------------------------------------------------------------------------
 # phase 2: per-part k-way merge (stateful actor pool)
 # --------------------------------------------------------------------------
-
-_MERGE_SCHEMA = pa.schema([
-    (n, RUNS_SCHEMA.field(n).type)
-    for n in ("term", "df", "cf", "doc_ids", "tfs", "dls", "roles",
-              "positions")])
-
-
-def _merge_input(dset) -> pa.Table:
-    """Runs or a segment (a ``pyarrow.dataset``) as merge input: the
-    columns both share, with null ``roles`` where the source predates
-    roles."""
-    names = dset.schema.names
-    tbl = dset.to_table(columns=[n for n in _MERGE_SCHEMA.names
-                                 if n in names], use_threads=False)
-    return pa.table(
-        [tbl[f.name] if f.name in names else pa.nulls(tbl.num_rows, f.type)
-         for f in _MERGE_SCHEMA], schema=_MERGE_SCHEMA)
-
 
 class MergeWorker:
     """Actor-pool stage: one ``__call__`` merges one doc-partition.
@@ -415,12 +323,12 @@ class MergeWorker:
 
         # single-threaded read: each merge actor owns one CPU; a threaded
         # arrow read pool per actor would thrash at pool_size x cpu threads
-        inputs = [_merge_input(pads.dataset(run_files))]
+        inputs = [merge_input(pads.dataset(run_files))]
         if os.path.exists(seg_path):
-            inputs.append(_merge_input(pads.dataset(seg_path)))
+            inputs.append(merge_input(pads.dataset(seg_path)))
         tbl = pa.concat_tables(inputs).sort_by("term")    # stable sort
-        seg_tbl, n_terms, n_postings = self._merge_table(
-            tbl, avgdl if avgdl > 0 else 1.0)
+        seg_tbl, n_terms, n_postings = merge_segment_rows(
+            tbl, avgdl if avgdl > 0 else 1.0, self.cfg)
         shards = held | {_shard_of(f) for f in run_files}
         tmp_dir = seg_dir + ".tmp"
         if os.path.exists(tmp_dir):
@@ -463,182 +371,6 @@ class MergeWorker:
         os.makedirs(os.path.dirname(man_path), exist_ok=True)
         _atomic_write_json(man_path, man)
         return man
-
-    def _merge_table(self, tbl: pa.Table, avgdl: float):
-        """Vectorized whole-part merge: decode every run blob in ONE varint
-        pass, lexsort all postings by (term, doc_id), re-encode with ONE
-        segmented varint pass. Rows (``_MERGE_SCHEMA``) must be grouped by
-        term; their order within a term does not change the output.
-
-        Returns (segment_table, n_terms, n_postings)."""
-        cap = self.cfg.compact_max_postings
-        bs = self.cfg.block_size
-        with_pos = self.cfg.with_positions
-        p = self.cfg.bm25
-
-        df_row = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # dictionary-encode terms: int codes for grouping, strings only
-        # materialized once for the output column (no object arrays)
-        tdict = tbl["term"].combine_chunks().dictionary_encode()
-        tcodes = tdict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        tvalues = tdict.dictionary
-        n_rows = df_row.size
-        if n_rows == 0:
-            empty = pa.table({n: [] for n in SEGMENT_SCHEMA.names},
-                             schema=SEGMENT_SCHEMA)
-            return empty, 0, 0
-
-        doc_blobs = tbl["doc_ids"].to_pylist()
-        tf_blobs = tbl["tfs"].to_pylist()
-        dl_blobs = tbl["dls"].to_pylist()
-
-        row_starts = np.zeros(n_rows, dtype=np.int64)
-        np.cumsum(df_row[:-1], out=row_starts[1:])
-        doc_abs = segmented_cumsum_abs(decode_varints_concat(doc_blobs),
-                                       row_starts)
-        tfs = decode_varints_concat(tf_blobs)
-        dls = decode_varints_concat(dl_blobs)
-        n_post = doc_abs.size
-
-        new_term = np.ones(n_rows, dtype=bool)
-        new_term[1:] = tcodes[1:] != tcodes[:-1]
-        term_id_row = np.cumsum(new_term) - 1
-        term_id = np.repeat(term_id_row, df_row)
-        uniq_codes = tcodes[new_term]   # term_id -> dictionary code
-
-        # pre-role runs and segments carry no roles blob: code 0
-        roles_all = np.frombuffer(
-            b"".join(b if b is not None else b"\x00" * int(d)
-                     for b, d in zip(tbl["roles"].to_pylist(),
-                                     df_row.tolist())),
-            dtype=np.uint8)
-
-        order = np.lexsort((doc_abs, term_id))
-        sd = doc_abs[order]
-        st = tfs[order]
-        sl = dls[order]
-        sr = roles_all[order]
-        stid = term_id[order]
-
-        # output rows: per term, split into <=cap chunks (deterministic)
-        t_starts = np.concatenate(
-            ([0], np.flatnonzero(stid[1:] != stid[:-1]) + 1))
-        t_ends = np.concatenate((t_starts[1:], [n_post]))
-        out_term_idx: list[int] = []
-        out_salt: list[int] = []
-        out_start: list[int] = []
-        out_end: list[int] = []
-        for ti, (s, e) in enumerate(zip(t_starts.tolist(), t_ends.tolist())):
-            n = e - s
-            if n <= cap:
-                out_term_idx.append(int(stid[s]))
-                out_salt.append(0)
-                out_start.append(s)
-                out_end.append(e)
-            else:
-                n_chunks = (n + cap - 1) // cap
-                size = (n + n_chunks - 1) // n_chunks
-                for ci in range(n_chunks):
-                    out_term_idx.append(int(stid[s]))
-                    out_salt.append(ci)
-                    out_start.append(s + ci * size)
-                    out_end.append(min(s + (ci + 1) * size, e))
-        ostart = np.asarray(out_start, dtype=np.int64)
-        oend = np.asarray(out_end, dtype=np.int64)
-
-        # delta-gap re-encode: diffs within rows, absolute at row starts;
-        # each column encoded ONCE into a contiguous buffer + offsets ->
-        # zero-copy arrow binary columns (no per-row bytes objects)
-        gaps = sd.copy()
-        gaps[1:] -= sd[:-1]          # uint64 wrap at boundaries is overwritten
-        gaps[ostart] = sd[ostart]
-        doc_out = binary_array_from_offsets(
-            *encode_varints_offsets(gaps, ostart))
-        tf_out = binary_array_from_offsets(
-            *encode_varints_offsets(st, ostart))
-        dl_out = binary_array_from_offsets(
-            *encode_varints_offsets(sl, ostart))
-        role_offsets = np.empty(len(ostart) + 1, dtype=np.int64)
-        role_offsets[:-1] = ostart
-        role_offsets[-1] = n_post
-        role_out = binary_array_from_offsets(sr.tobytes(), role_offsets)
-        df_out = (oend - ostart).astype(np.int64)
-        cf_out = np.add.reduceat(st.astype(np.int64), ostart)
-
-        # block-max metadata: ONE reduceat over all output rows' blocks
-        comp = bm25_tf(st, sl, avgdl, p)
-        n_blocks_row = (df_out + bs - 1) // bs
-        blk_row_off = np.zeros(len(ostart) + 1, dtype=np.int64)
-        np.cumsum(n_blocks_row, out=blk_row_off[1:])
-        total_blocks = int(blk_row_off[-1])
-        within = (np.arange(total_blocks, dtype=np.int64)
-                  - np.repeat(blk_row_off[:-1], n_blocks_row))
-        blk_starts = np.repeat(ostart, n_blocks_row) + within * bs
-        blk_last_idx = np.minimum(blk_starts + bs - 1,
-                                  np.repeat(oend - 1, n_blocks_row))
-        bm_flat = np.maximum.reduceat(comp, blk_starts) \
-            if total_blocks else np.empty(0, np.float64)
-        bl_flat = sd[blk_last_idx] if total_blocks else np.empty(0, np.uint64)
-        block_max = pa.ListArray.from_arrays(
-            pa.array(blk_row_off, pa.int32()),
-            pa.array(bm_flat, pa.float64()))
-        block_last = pa.ListArray.from_arrays(
-            pa.array(blk_row_off, pa.int32()),
-            pa.array(bl_flat, pa.uint64()))
-
-        if with_pos:
-            # Positions are NEVER decoded: per-posting varint byte slices
-            # are self-delimited ([count][deltas restarting at 0]) and thus
-            # relocatable — permute RAW BYTES (uint8 gather, ~1-2 B/value)
-            # instead of uint64 value streams (8 B/value): the merge's
-            # memory traffic is what bounds multi-worker scaling.
-            pos_blob = np.frombuffer(
-                b"".join(tbl["positions"].to_pylist()), dtype=np.uint8)
-            v_ends = np.flatnonzero((pos_blob & 0x80) == 0)  # varint ends
-            # values per posting = tf + 1 (count prefix + tf deltas)
-            vcum = np.cumsum((tfs + np.uint64(1)).astype(np.int64))
-            p_end_b = v_ends[vcum - 1] + 1        # excl. byte end per posting
-            p_start_b = np.concatenate(([0], p_end_b[:-1]))
-            blen = p_end_b - p_start_b
-            sb = p_start_b[order]
-            ln = blen[order]
-            out_cum = np.cumsum(ln)
-            out_begin = np.concatenate(([0], out_cum[:-1]))
-            idx = (np.repeat(sb - out_begin, ln)
-                   + np.arange(int(out_cum[-1]) if ln.size else 0,
-                               dtype=np.int64))
-            out_bytes = pos_blob[idx]
-            row_offsets = np.empty(len(ostart) + 1, dtype=np.int64)
-            row_offsets[:-1] = out_begin[ostart]
-            row_offsets[-1] = out_bytes.size
-            pos_out = binary_array_from_offsets(out_bytes.tobytes(),
-                                                row_offsets)
-        else:
-            pos_out = binary_array_from_offsets(
-                b"", np.zeros(len(ostart) + 1, dtype=np.int64))
-
-        out_codes = uniq_codes[np.asarray(out_term_idx, dtype=np.int64)]
-        term_col = pa.compute.take(tvalues,
-                                   pa.array(out_codes, pa.int64()))
-        seg_tbl = pa.table(
-            {
-                "term": pa.compute.cast(term_col, pa.string()),
-                "salt": pa.array(out_salt, pa.int32()),
-                "df": pa.array(df_out, pa.int64()),
-                "cf": pa.array(cf_out, pa.int64()),
-                "doc_ids": doc_out,
-                "tfs": tf_out,
-                "dls": dl_out,
-                "roles": role_out,
-                "positions": pos_out,
-                "block_max": pa.compute.cast(block_max,
-                                             pa.list_(pa.float64())),
-                "block_last": pa.compute.cast(block_last,
-                                              pa.list_(pa.uint64())),
-            },
-            schema=SEGMENT_SCHEMA,
-        )
-        return seg_tbl, int(uniq_codes.size), n_post
 
 
 # --------------------------------------------------------------------------
@@ -887,9 +619,7 @@ def _drop_runs(out_dir: str, shard_ids) -> None:
 
 def build_index(input_path: str | list[str], out_dir: str,
                 cfg: IndexConfig | None = None, *,
-                strategy: str = "combine",
                 shard_target_bytes: int = 2 << 30,
-                concurrency: int | None = None,
                 merge_concurrency: int | None = None) -> BuildResult:
     """End-to-end index build. Safe to re-run: finished shards/parts skip.
     Only parts that receive postings get a segment and a manifest; the
@@ -905,7 +635,6 @@ def build_index(input_path: str | list[str], out_dir: str,
         "bm25": {"k1": cfg.bm25.k1, "b": cfg.bm25.b},
         "analyzer": cfg.analyzer,
         "clean_html": cfg.clean_html,
-        "strategy": strategy,
     })
 
     files = discover_input_files(input_path)
@@ -920,8 +649,7 @@ def build_index(input_path: str | list[str], out_dir: str,
             build_conv_map(fl, out_dir, s_id)
         remap = resolve_conv_collisions(out_dir)
     shard_mans = [
-        build_runs_for_shard(s, fl, out_dir, cfg, strategy, concurrency,
-                             remap=remap)
+        build_runs_for_shard(s, fl, out_dir, cfg, remap=remap)
         for s, fl in enumerate(shards)
     ]
     stats = compute_corpus_stats(out_dir, shard_mans)
@@ -972,7 +700,6 @@ def build_index(input_path: str | list[str], out_dir: str,
 
 def append_index(out_dir: str, new_input: str | list[str], *,
                  shard_target_bytes: int = 2 << 30,
-                 concurrency: int | None = None,
                  merge_concurrency: int | None = None) -> BuildResult:
     """Incrementally index a GROWN corpus into an existing index — the
     re-crawl/re-index path the reference gets from DB upserts
@@ -1018,16 +745,7 @@ def append_index(out_dir: str, new_input: str | list[str], *,
             if "avgdl" not in man:
                 man["avgdl"] = old_avgdl
                 _atomic_write_json(mp, man)
-    from ..config import BM25Params
-
-    cfg = IndexConfig(
-        part_bits=meta["part_bits"], block_size=meta["block_size"],
-        with_positions=meta["with_positions"],
-        compact_max_postings=meta["compact_max_postings"],
-        bm25=BM25Params(**meta["bm25"]),
-        analyzer=meta.get("analyzer", "porter"),
-        clean_html=meta.get("clean_html", False))
-    strategy = meta.get("strategy", "combine")
+    cfg = IndexConfig.from_meta(meta)
 
     old_ids = []
     known_inputs: dict[tuple, int] = {}   # file-set -> existing shard id
@@ -1064,8 +782,7 @@ def append_index(out_dir: str, new_input: str | list[str], *,
         remap = resolve_conv_collisions(out_dir, append_from=first_new)
 
     new_mans = [
-        build_runs_for_shard(sid, fl, out_dir, cfg, strategy,
-                             concurrency, remap=remap)
+        build_runs_for_shard(sid, fl, out_dir, cfg, remap=remap)
         for sid, fl in zip(shard_ids, new_shards)
     ]
     stats = compute_corpus_stats(out_dir, new_mans)

@@ -9,7 +9,7 @@ merge (`rayse.pipelines.build_index.MergeWorker`).
 
     part: int32          # doc partition = top part_bits of doc_id
     term: string
-    salt: int32          # sub-split of hot groups (0 unless salting enabled)
+    salt: int32          # always 0 (the merge splits hot terms)
     df: int64            # postings in this run
     cf: int64            # sum of tf in this run
     min_doc: uint64      # first (lowest) doc_id of the run
@@ -36,8 +36,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..analyzer import analyze, analyze_ids, analyze_ids_ws, term_strings
-from ..index.encoding import encode_small_deltas, encode_varints_segmented
+from ..analyzer import analyze_ids, analyze_ids_ws, term_strings
+from ..index.encoding import encode_varints_segmented
 from ..index.segments import ROLE_CODES
 from .doc_ids import assign_doc_ids
 
@@ -64,19 +64,6 @@ RUNS_SCHEMA = pa.schema([
     ("positions", pa.binary()),
 ])
 
-# raw (term, doc) posting rows — the uncombined phase-1 output used by the
-# alternative `groupby_salted` build strategy (skew-parity test path)
-POSTINGS_SCHEMA = pa.schema([
-    ("part", pa.int32()),
-    ("term", pa.string()),
-    ("salt", pa.int32()),
-    ("doc_id", pa.uint64()),
-    ("tf", pa.int32()),
-    ("pos_enc", pa.binary()),
-    ("doc_len", pa.int32()),
-    ("role", pa.int32()),
-])
-
 
 def _positions_within_doc(docord: np.ndarray) -> np.ndarray:
     """Token offset within its doc, given non-decreasing doc ranks."""
@@ -89,56 +76,20 @@ def _positions_within_doc(docord: np.ndarray) -> np.ndarray:
 
 
 class TokenizeStage:
-    """Callable class for ``map_batches(..., concurrency=N)`` actor pools.
-
-    ``emit="runs"`` (default) produces RUNS_SCHEMA combiner output;
-    ``emit="postings"`` produces raw POSTINGS_SCHEMA rows for the
-    groupby-salted strategy.
-    """
+    """Callable class for ``map_batches(..., concurrency=N)`` actor pools:
+    one batch of turns in, RUNS_SCHEMA combiner output out."""
 
     def __init__(self, part_bits: int = 5, with_positions: bool = True,
-                 emit: str = "runs", salt_bits: int = 0,
                  remap: dict | None = None, analyzer: str = "porter"):
         self.part_bits = part_bits
         self.with_positions = with_positions
-        self.emit = emit
-        self.salt_bits = salt_bits
         self.analyze_ids = (analyze_ids_ws if analyzer == "whitespace"
                             else analyze_ids)
-        self.analyzer = analyzer
         # conv-hash memo, pre-seeded with the collision exception map
         # (conv_id -> overridden hash) so remapped convs cost nothing extra
         self.conv_cache: dict = dict(remap) if remap else {}
 
-    def _analyze_batch(self, batch: pa.Table):
-        """Common front half: doc ids + per-doc (term -> positions) maps,
-        iterated in ascending doc_id order."""
-        doc_ids = assign_doc_ids(batch["conv_id"], batch["turn_idx"].to_numpy(),
-                                 self.conv_cache)
-        texts = batch["text"].to_pylist()
-        roles = _role_codes_of(batch)
-        order = np.argsort(doc_ids, kind="stable")
-        for i in order.tolist():
-            text = texts[i]
-            if self.analyzer == "whitespace":
-                tokens = (text or "").split(" ")
-            else:
-                tokens = analyze(text if text is not None else "")
-            occ: dict = {}
-            for pos, t in enumerate(tokens):
-                lst = occ.get(t)
-                if lst is None:
-                    occ[t] = [pos]
-                else:
-                    lst.append(pos)
-            yield int(doc_ids[i]), len(tokens), occ, int(roles[i])
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.emit == "postings":
-            return self._call_postings(batch)
-        return self._call_runs_vectorized(batch)
-
-    def _call_runs_vectorized(self, batch: pa.Table) -> pa.Table:
         """Hot path: one Python pass over tokens (intern to int ids), then
         pure-numpy grouping + ONE segmented varint encode per output column.
         Per-posting Python loops eliminated (SURVEY.md §2 'stay vectorized')."""
@@ -249,40 +200,4 @@ class TokenizeStage:
                 "positions": pa.array(b_pos, pa.binary()),
             },
             schema=RUNS_SCHEMA,
-        )
-
-    def _call_postings(self, batch: pa.Table) -> pa.Table:
-        shift = 64 - self.part_bits
-        salt_shift = 64 - self.part_bits - self.salt_bits
-        salt_mask = (1 << self.salt_bits) - 1
-        terms: list = []
-        out_doc: list = []
-        out_tf: list = []
-        out_pos: list = []
-        out_dl: list = []
-        out_role: list = []
-        with_pos = self.with_positions
-        for d, doc_len, occ, role in self._analyze_batch(batch):
-            for t, positions in occ.items():
-                terms.append(t)
-                out_doc.append(d)
-                out_tf.append(len(positions))
-                out_pos.append(encode_small_deltas(positions) if with_pos else b"")
-                out_dl.append(doc_len)
-                out_role.append(role)
-        doc_arr = np.asarray(out_doc, dtype=np.uint64)
-        salt = ((doc_arr >> np.uint64(salt_shift)) & np.uint64(salt_mask)
-                ).astype(np.int32) if self.salt_bits else np.zeros(len(out_doc), np.int32)
-        return pa.table(
-            {
-                "part": pa.array((doc_arr >> np.uint64(shift)).astype(np.int32), pa.int32()),
-                "term": pa.array(terms, pa.string()),
-                "salt": pa.array(salt, pa.int32()),
-                "doc_id": pa.array(doc_arr, pa.uint64()),
-                "tf": pa.array(out_tf, pa.int32()),
-                "pos_enc": pa.array(out_pos, pa.binary()),
-                "doc_len": pa.array(out_dl, pa.int32()),
-                "role": pa.array(out_role, pa.int32()),
-            },
-            schema=POSTINGS_SCHEMA,
         )

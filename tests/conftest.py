@@ -44,7 +44,7 @@ def index_dir(ray_session, corpus_dir, tmp_path_factory):
     from rayse.pipelines.build_index import build_index
 
     d = tmp_path_factory.mktemp("index")
-    build_index(corpus_dir, str(d), concurrency=3, merge_concurrency=3)
+    build_index(corpus_dir, str(d), merge_concurrency=3)
     return str(d)
 
 

@@ -35,12 +35,12 @@ def dirs(ray_session, tmp_path_factory):
     cfg = IndexConfig(part_bits=5)
     idx_full = str(root / "idx_full")
     build_index(str(union), idx_full, cfg, shard_target_bytes=1,
-                concurrency=3, merge_concurrency=3)
+                merge_concurrency=3)
     idx_inc = str(root / "idx_inc")
     build_index(str(a), idx_inc, cfg, shard_target_bytes=1,
-                concurrency=3, merge_concurrency=3)
+                merge_concurrency=3)
     res = append_index(idx_inc, str(b), shard_target_bytes=1,
-                       concurrency=3, merge_concurrency=3)
+                       merge_concurrency=3)
     return idx_full, idx_inc, res
 
 
@@ -106,7 +106,7 @@ def test_append_idempotent(dirs, tmp_path_factory):
     b_dir = os.path.dirname(glob.glob(os.path.join(
         os.path.dirname(idx_inc), "b", "*.parquet"))[0])
     again = append_index(idx_inc, b_dir, shard_target_bytes=1,
-                         concurrency=3, merge_concurrency=3)
+                         merge_concurrency=3)
     assert again.n_docs == first.n_docs
     with open(os.path.join(idx_inc, "metrics.json")) as f:
         m = json.load(f)
@@ -120,7 +120,9 @@ def _to_legacy_layout(idx: str, part_bits: int) -> None:
     without 'roles', segments without provenance metadata, part
     manifests naming their run files as "inputs" and without 'avgdl',
     an empty segment and manifest for every part without postings, shard
-    manifests without 'n_tokens', stats without 'shards'."""
+    manifests without 'n_tokens', stats without 'shards', and meta and
+    shard manifests naming the build 'strategy' (an option since
+    removed)."""
     from rayse.index.segments import SEGMENT_SCHEMA
 
     for f in glob.glob(os.path.join(idx, "runs", "shard=*", "part=*",
@@ -155,6 +157,7 @@ def _to_legacy_layout(idx: str, part_bits: int) -> None:
         with open(f) as fh:
             man = json.load(fh)
         man.pop("n_tokens")
+        man["strategy"] = "combine"
         with open(f, "w") as fh:
             json.dump(man, fh)
     for name, key in (("corpus_stats.json", "shards"),
@@ -163,11 +166,13 @@ def _to_legacy_layout(idx: str, part_bits: int) -> None:
         with open(path) as fh:
             obj = json.load(fh)
         obj.pop(key)
+        if name == "index_meta.json":
+            obj["strategy"] = "combine"
         with open(path, "w") as fh:
             json.dump(obj, fh)
 
 
-_KW = dict(shard_target_bytes=1, concurrency=3, merge_concurrency=3)
+_KW = dict(shard_target_bytes=1, merge_concurrency=3)
 
 
 def _build_legacy(inputs, idx: str, cfg: IndexConfig, monkeypatch) -> None:
@@ -294,7 +299,7 @@ def test_append_onto_compacted_index(ray_session, tmp_path):
     live = base.filter(pa.compute.invert(pa.compute.is_in(
         base["conv_id"], pa.array(gone))))
     cfg = IndexConfig(part_bits=5)
-    kw = dict(shard_target_bytes=1, concurrency=3, merge_concurrency=3)
+    kw = dict(shard_target_bytes=1, merge_concurrency=3)
 
     idx, cmp_ = str(tmp_path / "idx"), str(tmp_path / "cmp")
     build_index(_write(tmp_path / "a", "000.parquet", base), idx, cfg, **kw)
@@ -316,7 +321,7 @@ def test_append_onto_merged_index(ray_session, tmp_path):
     a, b, c = (generate_block(0, 60), generate_block(60, 120),
                generate_block(120, 126))
     cfg = IndexConfig(part_bits=5)
-    kw = dict(shard_target_bytes=1, concurrency=3, merge_concurrency=3)
+    kw = dict(shard_target_bytes=1, merge_concurrency=3)
     ia, ib, merged = (str(tmp_path / n) for n in ("ia", "ib", "merged"))
     build_index(_write(tmp_path / "a", "000.parquet", a), ia, cfg, **kw)
     build_index(_write(tmp_path / "b", "001.parquet", b), ib, cfg, **kw)

@@ -1,6 +1,6 @@
-"""Build-pipeline properties: resume (byte-identical restart), salted-groupby
-strategy parity, determinism across parallelism (FIXTURES.md: test_resume,
-test_skew_salting, test_scaling_smoke reduced)."""
+"""Build-pipeline properties: resume (byte-identical restart), determinism
+across sharding, hot-term row splitting, loud failure on a lost part
+(FIXTURES.md: test_resume, test_scaling_smoke reduced)."""
 
 import glob
 import json
@@ -56,7 +56,7 @@ def test_resume_after_partial_build(ray_session, small_corpus, tmp_path):
     partial = tmp_path / "partial"
     cfg = IndexConfig()
     build_index(small_corpus, str(full), cfg,
-                shard_target_bytes=1, concurrency=2, merge_concurrency=2)
+                shard_target_bytes=1, merge_concurrency=2)
 
     # partial: run phase 1 for shard 0 only, then "crash"
     from rayse.pipelines.build_index import (build_runs_for_shard,
@@ -65,13 +65,13 @@ def test_resume_after_partial_build(ray_session, small_corpus, tmp_path):
     shards = shard_files(files, 1)
     assert len(shards) == 3
     os.makedirs(partial / "_manifest", exist_ok=True)
-    build_runs_for_shard(0, shards[0], str(partial), cfg, concurrency=2)
+    build_runs_for_shard(0, shards[0], str(partial), cfg)
     assert (partial / "_manifest" / "shard-0.json").exists()
 
     # resume: full build skips shard 0 (manifest check)
     man0 = (partial / "_manifest" / "shard-0.json").read_text()
     build_index(small_corpus, str(partial), cfg,
-                shard_target_bytes=1, concurrency=2, merge_concurrency=2)
+                shard_target_bytes=1, merge_concurrency=2)
     assert (partial / "_manifest" / "shard-0.json").read_text() == man0
     _assert_same_index(str(full), str(partial))
 
@@ -79,12 +79,10 @@ def test_resume_after_partial_build(ray_session, small_corpus, tmp_path):
 def test_rerun_is_noop(ray_session, small_corpus, tmp_path):
     out = tmp_path / "idx"
     cfg = IndexConfig()
-    r1 = build_index(small_corpus, str(out), cfg, concurrency=2,
-                     merge_concurrency=2)
+    r1 = build_index(small_corpus, str(out), cfg, merge_concurrency=2)
     man = out / "_manifest" / f"part-{r1.part_manifests[0]['part']}.json"
     m1 = man.read_text()
-    r2 = build_index(small_corpus, str(out), cfg, concurrency=2,
-                     merge_concurrency=2)
+    r2 = build_index(small_corpus, str(out), cfg, merge_concurrency=2)
     assert man.read_text() == m1
     assert r2.n_docs == r1.n_docs > 0
     assert r2.part_manifests == r1.part_manifests
@@ -95,8 +93,7 @@ def test_layout_holds_only_postings(ray_session, small_corpus, tmp_path):
     segment, a manifest and a metrics.json row."""
     out = tmp_path / "idx"
     res = build_index(small_corpus, str(out), IndexConfig(),
-                      shard_target_bytes=1, concurrency=2,
-                      merge_concurrency=2)
+                      shard_target_bytes=1, merge_concurrency=2)
     assert os.listdir(out / "runs") == []
     parts = sorted(m["part"] for m in res.part_manifests)
     assert parts and all(m["n_postings"] > 0 for m in res.part_manifests)
@@ -119,12 +116,34 @@ def test_missing_partition_fails_loudly(ray_session, small_corpus, tmp_path):
 
     out = tmp_path / "idx"
     res = build_index(small_corpus, str(out), IndexConfig(),
-                      concurrency=2, merge_concurrency=2)
+                      merge_concurrency=2)
     IndexReader(str(out))
     lost = res.part_manifests[-1]["part"]
     shutil.rmtree(out / "segments" / f"part={lost}")
     with pytest.raises(FileNotFoundError, match=str(lost)):
         IndexReader(str(out))
+
+
+def test_segment_lookups_use_present_parts(ray_session, small_corpus,
+                                           tmp_path):
+    """The term dictionary reads the segments of the present parts only:
+    a crash-leftover ``part=N.tmp`` copy is not counted, and a part whose
+    manifest records postings but whose segment is gone raises."""
+    import shutil
+
+    from rayse.index.stats import term_stats_table
+
+    out = tmp_path / "idx"
+    res = build_index(small_corpus, str(out), IndexConfig(),
+                      merge_concurrency=2)
+    want = term_stats_table(str(out))
+    part = res.part_manifests[0]["part"]
+    shutil.copytree(out / "segments" / f"part={part}",
+                    out / "segments" / f"part={part}.tmp")
+    assert term_stats_table(str(out)).equals(want)
+    shutil.rmtree(out / "segments" / f"part={part}")
+    with pytest.raises(FileNotFoundError, match=str(part)):
+        term_stats_table(str(out))
 
 
 def test_multi_shard_equals_single_shard(ray_session, small_corpus, tmp_path):
@@ -135,23 +154,10 @@ def test_multi_shard_equals_single_shard(ray_session, small_corpus, tmp_path):
     single = tmp_path / "single"
     cfg = IndexConfig()
     build_index(small_corpus, str(multi), cfg, shard_target_bytes=1,
-                concurrency=2, merge_concurrency=2)      # 3 shards
+                merge_concurrency=2)      # 3 shards
     build_index(small_corpus, str(single), cfg,
-                concurrency=2, merge_concurrency=2)      # 1 shard
+                merge_concurrency=2)      # 1 shard
     _assert_same_index(str(multi), str(single))
-
-
-def test_skew_salting_parity(ray_session, small_corpus, tmp_path):
-    """groupby(part, term, salt) strategy and the combiner strategy produce
-    identical segments (north rule: salted two-phase aggregation)."""
-    a = tmp_path / "combine"
-    b = tmp_path / "salted"
-    cfg = IndexConfig(salt_bits=3)
-    build_index(small_corpus, str(a), cfg, strategy="combine",
-                concurrency=2, merge_concurrency=2)
-    build_index(small_corpus, str(b), cfg, strategy="groupby_salted",
-                concurrency=2, merge_concurrency=2)
-    _assert_same_index(str(a), str(b))
 
 
 def test_hot_term_run_splitting(ray_session, small_corpus, tmp_path):
@@ -159,7 +165,7 @@ def test_hot_term_run_splitting(ray_session, small_corpus, tmp_path):
     runs and queries still decode them correctly."""
     out = tmp_path / "idx_split"
     cfg = IndexConfig(compact_max_postings=8)
-    build_index(small_corpus, str(out), cfg, concurrency=2, merge_concurrency=2)
+    build_index(small_corpus, str(out), cfg, merge_concurrency=2)
     salts = []
     for f in glob.glob(os.path.join(out, "segments", "part=*",
                                     "segment.parquet")):
@@ -180,7 +186,7 @@ def test_hot_term_run_splitting(ray_session, small_corpus, tmp_path):
 def test_positions_disabled(ray_session, small_corpus, tmp_path):
     out = tmp_path / "idx_nopos"
     cfg = IndexConfig(with_positions=False)
-    build_index(small_corpus, str(out), cfg, concurrency=2, merge_concurrency=2)
+    build_index(small_corpus, str(out), cfg, merge_concurrency=2)
     from rayse.query.engine import SearchEngine
     eng = SearchEngine(str(out))
     d, s = eng.search("flazo")

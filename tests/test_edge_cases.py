@@ -63,7 +63,7 @@ def test_build_with_empty_turns(ray_session, tmp_path):
                            ("c-2", 0, "alpha gamma")]),
                    str(src / "t.parquet"))
     out = tmp_path / "idx"
-    res = build_index(str(src), str(out), concurrency=2, merge_concurrency=2)
+    res = build_index(str(src), str(out), merge_concurrency=2)
     assert res.n_docs == 3          # includes the empty turn
     eng = SearchEngine(str(out))
     assert eng.reader.n_docs == 3

@@ -161,10 +161,8 @@ def test_clean_html_build_parity(ray_session, tmp_path_factory):
     cfg_plain = IndexConfig(part_bits=4)
     idx_a = str(root / "idx_html")
     idx_b = str(root / "idx_pre")
-    build_index(str(wrapped), idx_a, cfg_clean, concurrency=3,
-                merge_concurrency=3)
-    build_index(str(precleaned), idx_b, cfg_plain, concurrency=3,
-                merge_concurrency=3)
+    build_index(str(wrapped), idx_a, cfg_clean, merge_concurrency=3)
+    build_index(str(precleaned), idx_b, cfg_plain, merge_concurrency=3)
 
     parts_a = sorted(glob.glob(os.path.join(idx_a, "segments", "part=*")))
     parts_b = sorted(glob.glob(os.path.join(idx_b, "segments", "part=*")))

@@ -52,10 +52,10 @@ def dirs(ray_session, tmp_path_factory):
     cfg = IndexConfig(part_bits=5)
     idx_all = str(root / "idx_all")
     build_index(str(tdir), idx_all, cfg, shard_target_bytes=1,
-                concurrency=3, merge_concurrency=3)
+                merge_concurrency=3)
     idx_ref = str(root / "idx_ref")
     build_index(str(tdir2), idx_ref, cfg, shard_target_bytes=1,
-                concurrency=3, merge_concurrency=3)
+                merge_concurrency=3)
     return root, idx_all, idx_ref, deleted
 
 
@@ -193,9 +193,9 @@ def test_delete_survives_append(dirs, tmp_path_factory):
     bdir.mkdir()
     pq.write_table(extra, str(bdir / "001.parquet"))
     append_index(plain, str(bdir), shard_target_bytes=1,
-                 concurrency=3, merge_concurrency=3)
+                 merge_concurrency=3)
     append_index(deld, str(bdir), shard_target_bytes=1,
-                 concurrency=3, merge_concurrency=3)
+                 merge_concurrency=3)
 
     del_hashes = {conv_hash(c) for c in deleted}
     got = _all_modes(SearchEngine(deld))
@@ -276,6 +276,69 @@ def test_merge_ranks_identical_to_union_build(dirs):
             assert np.array_equal(pl.roles, ref.roles), term
 
 
+@pytest.fixture(scope="module")
+def cap8(dirs):
+    """Fresh builds with hot terms split into rows of <= 8 postings: a
+    builder over any subset of the ``dirs`` corpus, and the full build."""
+    import pyarrow as pa
+
+    root = dirs[0]
+    tbl = pq.read_table(str(root / "t_all"))
+    cfg = IndexConfig(part_bits=5, compact_max_postings=8)
+
+    def build(name, convs):
+        src = root / f"t_cap8_{name}"
+        src.mkdir()
+        pq.write_table(tbl.filter(pc.is_in(tbl["conv_id"],
+                                           value_set=pa.array(convs))),
+                       str(src / "000.parquet"))
+        out = str(root / f"cap8_{name}")
+        build_index(str(src), out, cfg, merge_concurrency=3)
+        return out
+
+    convs = sorted(set(tbl["conv_id"].to_pylist()))
+    full = build("full", convs)
+    salts = pc.max(pq.read_table(os.path.join(full, "segments"),
+                                 columns=["salt"])["salt"]).as_py()
+    assert salts > 0                      # some term is split into rows
+    return build, convs, full
+
+
+def test_compaction_equals_fresh_build_segments(dirs, cap8):
+    """Compaction runs the build's merge: its segment tables equal a
+    fresh build's over the filtered corpus, rows split the same way."""
+    from tests.test_build import _assert_same_index
+
+    deleted = dirs[3]
+    build, convs, full = cap8
+    ref = build("kept", [c for c in convs if c not in deleted])
+    delete_convs(full, deleted)
+    out = str(dirs[0] / "cap8_compacted")
+    compact_index(full, out)
+    _assert_same_index(ref, out)
+
+
+def test_merge_equals_union_build_segments(cap8):
+    """``merge_indexes`` of two disjoint halves writes the segment tables
+    of a fresh build over their union, rows split the same way."""
+    from rayse.index.maintenance import merge_indexes
+    from tests.test_build import _assert_same_index
+
+    build, convs, full = cap8
+    parity = [int(c.rsplit("-", 1)[1]) % 2 for c in convs]
+    even = build("even", [c for c, p in zip(convs, parity) if not p])
+    odd = build("odd", [c for c, p in zip(convs, parity) if p])
+    # an index built while the build had a "strategy" option still merges
+    meta_path = os.path.join(even, "index_meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    with open(meta_path, "w") as f:
+        json.dump({**meta, "strategy": "combine"}, f)
+    out = os.path.join(os.path.dirname(full), "cap8_merged")
+    merge_indexes(even, odd, out)
+    _assert_same_index(full, out)
+
+
 def test_merge_rejects_overlapping_corpora(dirs):
     from rayse.index.maintenance import merge_indexes
 
@@ -321,7 +384,7 @@ def test_compact_over_earlier_output(ray_session, tmp_path):
     cfg = IndexConfig(part_bits=5)
     idx = str(tmp_path / "idx")
     build_index(str(tdir), idx, cfg, shard_target_bytes=1,
-                concurrency=3, merge_concurrency=3)
+                merge_concurrency=3)
 
     convs = sorted(set(tbl["conv_id"].to_pylist()))
     by_part: dict[int, list[str]] = {}

@@ -122,35 +122,68 @@ def _encode_posting_side(rows):
     return docs, tfs, bytes(blob)
 
 
-@given(_post, _post)
+def _segment_row(rows) -> dict | None:
+    """One term's segment row (``MERGE_SCHEMA``) over (doc, tf, pos)
+    tuples; None for no postings."""
+    from rayse.index.encoding import delta_encode, encode_varints
+
+    if not rows:
+        return None
+    docs, tfs, blob = _encode_posting_side(rows)
+    return {"term": "t", "df": docs.size, "cf": int(tfs.sum()),
+            "doc_ids": encode_varints(delta_encode(docs)),
+            "tfs": encode_varints(tfs), "dls": encode_varints(tfs),
+            "roles": None, "positions": blob}
+
+
+@given(_post, _post, st.integers(min_value=-1, max_value=30))
 @settings(max_examples=60, deadline=None)
-def test_merge_positions_property(side_a, side_b):
-    """_merge_positions: the merged blob decodes to exactly each
-    posting's original position list, in merged doc order — for ANY two
-    doc-disjoint posting lists (byte gather == decode-merge-reencode)."""
-    from rayse.index.maintenance import _merge_positions
-    from rayse.index.segments import DecodedPostings
+def test_merge_positions_property(side_a, side_b, pick):
+    """``merge_segment_rows`` over two doc-disjoint single-term segments,
+    with and without a tombstoned conversation: the output decodes to
+    each surviving posting's positions, in doc order (the positions byte
+    gather == decode-merge-reencode)."""
+    import pyarrow as pa
+
+    from rayse.config import IndexConfig
+    from rayse.index.segments import (MERGE_SCHEMA, decode_rows,
+                                      merge_segment_rows)
+    from rayse.stages.doc_ids import TURN_BITS
 
     # disjoint doc sets: offset side_b's ids into a distinct range
     side_b = [(d + 2**41, tf, pos) for d, tf, pos in side_b]
-    da, ta, ba = _encode_posting_side(side_a)
-    db, tb, bb = _encode_posting_side(side_b)
-    docs = np.concatenate((da, db))
-    order = np.argsort(docs, kind="stable")
-    merged = _merge_positions(ba, ta, bb, tb, order)
+    rows = [r for r in map(_segment_row, (side_a, side_b)) if r]
+    want = sorted((d, sorted(pos)) for d, _, pos in side_a + side_b)
+    tombs = None
+    if pick >= 0 and want:
+        conv = want[pick % len(want)][0] >> TURN_BITS
+        tombs = np.asarray([conv], dtype=np.uint64)
+        want = [w for w in want if w[0] >> TURN_BITS != conv]
 
-    want = []
-    for rows in (sorted(side_a), sorted(side_b)):
-        want.extend(np.asarray(sorted(p), dtype=np.uint64)
-                    for _, _, p in rows)
-    want = [want[i] for i in order.tolist()]
-    tfs = np.concatenate((ta, tb))[order]
-    if not merged:
-        assert all(w.size == 0 for w in want) or docs.size == 0
+    seg, _, n_post = merge_segment_rows(
+        pa.Table.from_pylist(rows, schema=MERGE_SCHEMA), 1.0,
+        IndexConfig(), tombs)
+    assert n_post == len(want) == sum(seg["df"].to_pylist())
+    if not want:
         return
-    pl = DecodedPostings(docs[order], tfs, tfs, merged,
-                         None, None)
+    pl = decode_rows(seg.to_pylist())
+    assert pl.doc_ids.tolist() == [d for d, _ in want]
     got = pl.positions()
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for g, (_, w) in zip(got, want):
+        assert g.tolist() == w
+
+
+def test_merge_rejects_repeated_posting():
+    """A (term, doc_id) present in two inputs raises instead of writing a
+    posting list that holds the doc twice."""
+    import pyarrow as pa
+    import pytest
+
+    from rayse.config import IndexConfig
+    from rayse.index.segments import MERGE_SCHEMA, merge_segment_rows
+
+    row = _segment_row([(5, 1, [0]), (9, 2, [1, 3])])
+    tbl = pa.Table.from_pylist([row, row], schema=MERGE_SCHEMA)
+    with pytest.raises(ValueError, match="doc_id 5 appears twice"):
+        merge_segment_rows(tbl, 1.0, IndexConfig())

@@ -58,7 +58,7 @@ def test_jsonl_corpus_builds_and_queries(ray_session, tmp_path):
     norm = tmp_path / "norm"
     read_transcripts(str(src / "t.jsonl")).write_parquet(str(norm))
     out = tmp_path / "idx"
-    res = build_index(str(norm), str(out), concurrency=2, merge_concurrency=2)
+    res = build_index(str(norm), str(out), merge_concurrency=2)
     assert res.n_docs == 2
     eng = SearchEngine(str(out))
     d, s = eng.search("alpha")
