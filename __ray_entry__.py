@@ -24,10 +24,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# v3: lean index layout (merged runs deleted, no empty parts). A build
-# from before v3 re-run over a v3 index recounts its corpus stats from the
-# deleted runs and zeroes them, so the two layouts must not share a cache.
-_CACHE_ROOT = "/tmp/rayse_entry_cache_v3"
+from rayse.index.stats import FORMAT_VERSION
+
+# one cache per index format version: code of two layouts never shares
+# a cached index
+_CACHE_ROOT = f"/tmp/rayse_entry_cache_v{FORMAT_VERSION}"
 
 # Fixed reference query set over the sf documents vocabulary (word soup of
 # data-engineering terms; see /root/testdata/*/documents.parquet).

@@ -7,7 +7,7 @@ BM25 constants `IndexerService.java:1029-1030`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,14 @@ class IndexConfig:
     # whitespace-collapse identity the tokenizer already performs)
     clean_html: bool = False
     bm25: BM25Params = field(default_factory=BM25Params)
-    # tokenize stage sizing
-    tokenize_batch_size: int = 1024
-    # conv_map sidecar (doc hydration J4: conv_hash -> conv_id); cheap
-    # single-column scan per shard
-    build_conv_map: bool = True
+
+    def to_meta(self) -> dict:
+        """The config's entries of an ``index_meta.json``."""
+        return asdict(self)
 
     @classmethod
     def from_meta(cls, meta: dict) -> "IndexConfig":
         """The config an index was built with, from its
         ``index_meta.json``."""
-        return cls(
-            part_bits=meta["part_bits"], block_size=meta["block_size"],
-            with_positions=meta["with_positions"],
-            compact_max_postings=meta["compact_max_postings"],
-            bm25=BM25Params(**meta["bm25"]),
-            analyzer=meta.get("analyzer", "porter"),
-            clean_html=meta.get("clean_html", False))
+        return cls(**{**{f.name: meta[f.name] for f in fields(cls)},
+                      "bm25": BM25Params(**meta["bm25"])})

@@ -12,7 +12,8 @@ segment index needs the Lucene two-phase realization instead:
    merge), pinned by tests: surviving docs' scores are UNCHANGED by a
    logical delete.
 2. ``compact_index`` — PHYSICAL rewrite: corpus stats are recomputed
-   exactly from the dropped postings' (doc, dl) pairs, then every part's
+   exactly (turns from the conv_map's per-conversation turn counts,
+   tokens from the dropped postings' (doc, dl) pairs), then every part's
    segment goes through the build's own merge
    (``segments.merge_segment_rows``) without the tombstoned postings and
    with block-max against the new avgdl. The result holds the same
@@ -22,13 +23,13 @@ segment index needs the Lucene two-phase realization instead:
    part at build; when ``out_dir`` held an earlier index, that part's
    old files go.
 
+Both write an index of the current format version, and read only that
+version (``stats.load_index_meta``).
+
 Contract notes:
 - Turns whose every token was filtered by the analyzer carry no postings
-  and are invisible to compaction's stats recomputation; a corpus with
-  such turns would compact to a slightly different avgdl than a rebuild
-  (they never match any query either way). The synthetic corpora have
-  none (every turn keeps >= 1 token; the parity test would fail loudly
-  otherwise).
+  but count toward n_docs; compaction takes deleted turn counts from the
+  conv_map, so it drops them too, as a rebuild would.
 - Parts are docID-range partitions, so a conversation's postings live in
   exactly one part: per-part distinct-(doc, dl) sums combine exactly.
 - Deleting a conversation that was collision-remapped at build time
@@ -59,7 +60,12 @@ from .segments import (
     tombstoned,
     write_segment,
 )
-from .stats import load_corpus_stats, write_corpus_stats
+from .stats import (
+    load_corpus_stats,
+    load_index_meta,
+    write_corpus_stats,
+    write_index_meta,
+)
 
 
 def _tombstone_path(index_dir: str) -> str:
@@ -104,10 +110,9 @@ def delete_convs(index_dir: str, conv_ids: list[str]) -> dict:
             "n_new": len(merged_h) - len(prev_h)}
 
 
-def _compact_part_stats(seg_path: str, tombs: np.ndarray) -> tuple:
-    """(n_deleted_docs, deleted_token_sum) of one part — distinct
-    (doc, dl) pairs over the part's tombstoned postings. Exact because a
-    doc's postings never span parts."""
+def _compact_part_stats(seg_path: str, tombs: np.ndarray) -> int:
+    """The deleted tokens of one part: the dl sum over distinct
+    tombstoned docs. Exact because a doc's postings never span parts."""
     tbl = pq.read_table(seg_path, columns=["df", "doc_ids", "dls"])
     df_row = tbl["df"].to_numpy(zero_copy_only=False).astype(np.int64)
     row_starts = np.concatenate(([0], np.cumsum(df_row)[:-1]))
@@ -115,8 +120,8 @@ def _compact_part_stats(seg_path: str, tombs: np.ndarray) -> tuple:
         decode_varints_concat(tbl["doc_ids"].to_pylist()), row_starts)
     hit = tombstoned(docs, tombs)
     dls = decode_varints_concat(tbl["dls"].to_pylist())[hit]
-    uniq, first = np.unique(docs[hit], return_index=True)
-    return int(uniq.size), int(dls[first].sum())
+    _, first = np.unique(docs[hit], return_index=True)
+    return int(dls[first].sum())
 
 
 def _rewrite_part(seg_paths: list[str], out_part_dir: str, avgdl: float,
@@ -180,13 +185,7 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     same bound as the build's own collision detection)."""
     import ray
 
-    def meta(d):
-        with open(os.path.join(d, "index_meta.json")) as f:
-            # "strategy" named a build option that never changed segments
-            return {k: v for k, v in json.load(f).items()
-                    if k != "strategy"}
-
-    meta_a, meta_b = meta(dir_a), meta(dir_b)
+    meta_a, meta_b = load_index_meta(dir_a), load_index_meta(dir_b)
     if meta_a != meta_b:
         raise ValueError("index_meta mismatch; refusing to merge "
                          f"{meta_a} vs {meta_b}")
@@ -228,8 +227,7 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
         os.path.join(out_dir, "segments", f"part={pid}"),
         avgdl, cfg, None, []) for pid in pids])
 
-    with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
-        json.dump(meta_a, f, indent=1)
+    write_index_meta(out_dir, meta_a)
     man_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(man_dir, exist_ok=True)
     _drop_stale_parts(out_dir, [pid for pid, ps in zip(pids, part_stats)
@@ -270,20 +268,14 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
             "n_parts": sum(1 for p in part_stats if p["n_postings"])}
 
 
-def _deleted_turn_count(index_dir: str, tombs: np.ndarray) -> int | None:
+def _deleted_turn_count(index_dir: str, tombs: np.ndarray) -> int:
     """Exact turn count of the tombstoned conversations from the
     conv_map's partial ``n_turns`` column (sum over matching rows,
-    remap-aware). None when the index predates the column (fall back to
-    the posting-derived count)."""
-    cm = os.path.join(index_dir, "conv_map")
-    if not os.path.isdir(cm):
-        return None
+    remap-aware)."""
     import pyarrow.dataset as pads
 
-    ds = pads.dataset(cm)
-    if "n_turns" not in ds.schema.names:
-        return None
-    t = ds.to_table(columns=["conv_hash", "conv_id", "n_turns"])
+    t = pads.dataset(os.path.join(index_dir, "conv_map")).to_table(
+        columns=["conv_hash", "conv_id", "n_turns"])
     hs = t["conv_hash"].to_numpy(zero_copy_only=False).copy()
     remap_p = os.path.join(index_dir, "_manifest", "conv_remap.json")
     if os.path.exists(remap_p):
@@ -319,26 +311,19 @@ def compact_index(index_dir: str, out_dir: str,
         extra = {int(remap.get(c, conv_hash(c))) for c in extra_conv_ids}
         tombs = np.asarray(sorted(set(tombs.tolist()) | extra),
                            dtype=np.uint64)
+    meta = load_index_meta(index_dir)
     stats = load_corpus_stats(index_dir)
-    with open(os.path.join(index_dir, "index_meta.json")) as f:
-        meta = json.load(f)
     seg_paths = {pid: os.path.join(d, SEGMENT_FILE)
                  for pid, d in present_parts(index_dir).items()}
 
     if tombs.size:
         stats_task = ray.remote(_compact_part_stats)
-        partials = ray.get([stats_task.remote(p, tombs)
-                            for p in seg_paths.values()])
-        n_del = sum(p[0] for p in partials)
-        tok_del = sum(p[1] for p in partials)
-        # Exact doc-count adjustment from the conv_map's per-conv turn
-        # counts when available: the posting-derived n_del above misses
-        # turns whose every token the analyzer filtered (they carry no
-        # postings but DO count toward the build's n_docs). Token sums
-        # stay posting-derived (such turns contribute 0 tokens).
-        n_del_exact = _deleted_turn_count(index_dir, tombs)
-        if n_del_exact is not None:
-            n_del = n_del_exact
+        tok_del = sum(ray.get([stats_task.remote(p, tombs)
+                               for p in seg_paths.values()]))
+        # turns from the conv_map: a turn whose every token the analyzer
+        # filtered has no postings but counts toward n_docs (and adds 0
+        # tokens, so the token sum may come from the postings)
+        n_del = _deleted_turn_count(index_dir, tombs)
     else:
         n_del, tok_del = 0, 0
 
@@ -351,12 +336,11 @@ def compact_index(index_dir: str, out_dir: str,
     cfg = IndexConfig.from_meta(meta)
     part_stats = ray.get([task.remote(
         [p], os.path.join(out_dir, "segments", f"part={pid}"), avgdl, cfg,
-        tombs, (segment_info(p) or {}).get("shards", []))
+        tombs, segment_info(p)["shards"])
         for pid, p in seg_paths.items()])
 
     write_corpus_stats(out_dir, n_docs, total_tokens, stats["shards"])
-    with open(os.path.join(out_dir, "index_meta.json"), "w") as f:
-        json.dump(meta, f, indent=1)
+    write_index_meta(out_dir, meta)
     man_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(man_dir, exist_ok=True)
     _drop_stale_parts(out_dir, [pid for pid, ps
@@ -376,31 +360,30 @@ def compact_index(index_dir: str, out_dir: str,
         with open(remap_p) as f:
             remap = json.load(f)
     cm = os.path.join(index_dir, "conv_map")
-    if os.path.isdir(cm):
-        if tombs.size:
-            # drop the compacted-out conversations from the conv_map
-            # (hydration must not resolve deleted convs; merge relies on
-            # conv_map reflecting the live corpus). Remapped convs store
-            # their PRE-remap hash in conv_map — resolve via the
-            # exception map before matching against the tombstones.
-            tomb_set = set(tombs.tolist())
-            for src in sorted(glob.glob(os.path.join(cm, "shard=*"))):
-                shard = os.path.basename(src)
-                tbl = pq.read_table(src)
-                hs = tbl["conv_hash"].to_numpy(zero_copy_only=False)
-                keep = ~np.isin(hs, tombs)
-                if remap:
-                    cids = tbl["conv_id"].to_pylist()
-                    for i, c in enumerate(cids):
-                        if keep[i] and remap.get(c) in tomb_set:
-                            keep[i] = False
-                dest = os.path.join(out_dir, "conv_map", shard)
-                os.makedirs(dest, exist_ok=True)
-                pq.write_table(tbl.filter(pa.array(keep)),
-                               os.path.join(dest, "part-0.parquet"))
-        else:
-            shutil.copytree(cm, os.path.join(out_dir, "conv_map"),
-                            dirs_exist_ok=True)
+    if tombs.size:
+        # drop the compacted-out conversations from the conv_map
+        # (hydration must not resolve deleted convs; merge relies on
+        # conv_map reflecting the live corpus). Remapped convs store
+        # their PRE-remap hash in conv_map — resolve via the
+        # exception map before matching against the tombstones.
+        tomb_set = set(tombs.tolist())
+        for src in sorted(glob.glob(os.path.join(cm, "shard=*"))):
+            shard = os.path.basename(src)
+            tbl = pq.read_table(src)
+            hs = tbl["conv_hash"].to_numpy(zero_copy_only=False)
+            keep = ~np.isin(hs, tombs)
+            if remap:
+                cids = tbl["conv_id"].to_pylist()
+                for i, c in enumerate(cids):
+                    if keep[i] and remap.get(c) in tomb_set:
+                        keep[i] = False
+            dest = os.path.join(out_dir, "conv_map", shard)
+            os.makedirs(dest, exist_ok=True)
+            pq.write_table(tbl.filter(pa.array(keep)),
+                           os.path.join(dest, "part-0.parquet"))
+    elif os.path.isdir(cm):
+        shutil.copytree(cm, os.path.join(out_dir, "conv_map"),
+                        dirs_exist_ok=True)
     return {"n_docs": n_docs, "n_deleted_docs": n_del,
             "avgdl": avgdl,
             "n_postings": sum(p["n_postings"] for p in part_stats)}

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from .segments import SEGMENT_FILE, DecodedPostings, decode_rows
+from .stats import load_index_meta
 
 
 def part_manifests(index_dir: str) -> dict[int, dict]:
@@ -134,10 +135,8 @@ class PartReader:
         span = self._rows.get(term)
         if span is None:
             return None
-        names = ["doc_ids", "tfs", "dls", "positions", "block_max",
+        names = ["doc_ids", "tfs", "dls", "roles", "positions", "block_max",
                  "block_last"]
-        if "roles" in self._tbl.column_names:   # absent on legacy indexes
-            names.append("roles")
         rows = [
             {name: self._tbl[name][i].as_py() for name in names}
             for i in range(*span)
@@ -191,8 +190,7 @@ class IndexReader:
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "corpus_stats.json")) as f:
             stats = json.load(f)
-        with open(os.path.join(index_dir, "index_meta.json")) as f:
-            self.meta = json.load(f)
+        self.meta = load_index_meta(index_dir)
         self.n_docs = stats["n_docs"]
         self.avgdl = stats["avgdl"] if stats["avgdl"] > 0 else 1.0
         mans = part_manifests(index_dir)
@@ -200,20 +198,13 @@ class IndexReader:
         if parts is not None:
             keep = {int(p) for p in parts}
             part_dirs = {p: d for p, d in part_dirs.items() if p in keep}
-        bs = self.meta.get("block_size", 128)
+        bs = self.meta["block_size"]
         self.parts = [PartReader(d, bs, self._bound_scale(mans.get(p)))
                       for p, d in part_dirs.items()]
         self._merged: dict[str, DecodedPostings | None] = {}
         # role-integrity: role-scoped queries are sound only when every
-        # posting carries a REAL role code (build/append record the flag;
-        # for older indexes fall back to "all loaded parts have the roles
-        # column" — an index with any pre-role part raises uniformly
-        # instead of silently excluding its postings from role results)
-        rr = self.meta.get("roles_real")
-        if rr is None:
-            rr = bool(self.parts) and all(
-                "roles" in p._tbl.column_names for p in self.parts)
-        self.roles_real = bool(rr)
+        # posting carries a REAL role code (build and append record it)
+        self.roles_real = self.meta["roles_real"]
         # tombstones (logical deletes, Lucene-style visibility filter):
         # postings of deleted conversations are masked out of merged();
         # df / n_docs / avgdl keep their pre-delete values until
@@ -229,11 +220,9 @@ class IndexReader:
 
     def _bound_scale(self, man: dict | None) -> float:
         """Exact block-max correction for parts merged under an older
-        avgdl (incremental append); 1.0 for freshly-merged parts."""
-        avgdl_m = man.get("avgdl") if man else None
-        if not avgdl_m or avgdl_m <= 0:
-            return 1.0
-        return max(1.0, self.avgdl / avgdl_m)
+        avgdl (incremental append); 1.0 for freshly-merged parts and for
+        a segment whose manifest a crash kept from being written."""
+        return max(1.0, self.avgdl / man["avgdl"]) if man else 1.0
 
     def df(self, term: str) -> int:
         return sum(p.df(term) for p in self.parts)
@@ -270,8 +259,7 @@ class IndexReader:
                 np.concatenate([p.block_last for p in pls]),
                 np.concatenate([p.block_starts + o
                                 for p, o in zip(pls, offs.tolist())]),
-                (np.concatenate([p.roles for p in pls])
-                 if all(p.roles is not None for p in pls) else None),
+                np.concatenate([p.roles for p in pls]),
             )
         if len(pls) > 1:
             # drop per-part cached copies: the merged view supersedes them
@@ -293,8 +281,8 @@ class IndexReader:
         if not hit.any():
             return pl
         return filter_postings(
-            pl, ~hit, self.avgdl, BM25Params(**self.meta.get("bm25", {})),
-            self.meta.get("block_size", 128))
+            pl, ~hit, self.avgdl, BM25Params(**self.meta["bm25"]),
+            self.meta["block_size"])
 
     def idf(self, term: str) -> float:
         """Canonical IDF (SURVEY.md D2): ln((1+N)/(1+df)) + 1

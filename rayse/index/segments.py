@@ -85,11 +85,9 @@ def write_segment(tbl: pa.Table, part_dir: str, avgdl: float,
                    os.path.join(part_dir, SEGMENT_FILE))
 
 
-def segment_info(path: str) -> dict | None:
-    """The provenance ``write_segment`` recorded; None for segment files
-    written before it existed."""
-    raw = (pq.read_schema(path).metadata or {}).get(_INFO_KEY)
-    return json.loads(raw) if raw else None
+def segment_info(path: str) -> dict:
+    """The provenance ``write_segment`` recorded."""
+    return json.loads(pq.read_schema(path).metadata[_INFO_KEY])
 
 
 # role -> stable code (0 = unknown/other). Deterministic module constant —
@@ -112,14 +110,13 @@ class DecodedPostings:
     arrays (strictly increasing; block size = next start - start, blocks of
     consecutive runs are contiguous), enabling exact block skipping.
 
-    ``roles`` is a per-posting uint8 role-code array (None on indexes built
-    without roles)."""
+    ``roles`` is a per-posting uint8 role-code array."""
 
     __slots__ = ("doc_ids", "tfs", "dls", "positions_blob", "block_max",
                  "block_last", "block_starts", "roles")
 
     def __init__(self, doc_ids, tfs, dls, positions_blob, block_max,
-                 block_last, block_starts=None, roles=None):
+                 block_last, block_starts, roles):
         self.doc_ids = doc_ids
         self.tfs = tfs
         self.dls = dls
@@ -155,16 +152,12 @@ def decode_rows(rows: list[dict], block_size: int = 128) -> DecodedPostings:
         tf_parts.append(decode_varints(r["tfs"]))
         dl_parts.append(decode_varints(r["dls"]))
         pos.extend(r["positions"])
-        rb = r.get("roles")
-        if rb is not None:
-            role_blobs.append(rb)
+        role_blobs.append(r["roles"])
         bm.extend(r["block_max"])
         bl.extend(r["block_last"])
         nb = len(r["block_max"])
         bs_parts.append(off + np.arange(nb, dtype=np.int64) * block_size)
         off += d.size
-    roles = (np.frombuffer(b"".join(role_blobs), dtype=np.uint8)
-             if len(role_blobs) == len(rows) and rows else None)
     return DecodedPostings(
         np.concatenate(doc_parts),
         np.concatenate(tf_parts),
@@ -173,7 +166,7 @@ def decode_rows(rows: list[dict], block_size: int = 128) -> DecodedPostings:
         np.asarray(bm, dtype=np.float64),
         np.asarray(bl, dtype=np.uint64),
         np.concatenate(bs_parts) if bs_parts else np.empty(0, np.int64),
-        roles,
+        np.frombuffer(b"".join(role_blobs), dtype=np.uint8),
     )
 
 
@@ -251,11 +244,10 @@ def filter_postings(pl: "DecodedPostings", keep: np.ndarray,
     d = pl.doc_ids[keep]
     t = pl.tfs[keep]
     dl = pl.dls[keep]
-    roles = pl.roles[keep] if pl.roles is not None else None
     pos = filter_positions_blob(pl.positions_blob, pl.tfs, keep)
     comp = bm25_tf(t, dl, avgdl, params)
     bm, bl, bs = build_block_arrays(d, comp, block_size)
-    return DecodedPostings(d, t, dl, pos, bm, bl, bs, roles)
+    return DecodedPostings(d, t, dl, pos, bm, bl, bs, pl.roles[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +265,8 @@ MERGE_SCHEMA = pa.schema([
 
 def merge_input(dset) -> pa.Table:
     """Runs or a segment (a ``pyarrow.dataset``) as merge input: the
-    columns both share, with null ``roles`` where the source predates
-    roles."""
-    names = dset.schema.names
-    tbl = dset.to_table(columns=[n for n in MERGE_SCHEMA.names
-                                 if n in names], use_threads=False)
-    return pa.table(
-        [tbl[f.name] if f.name in names else pa.nulls(tbl.num_rows, f.type)
-         for f in MERGE_SCHEMA], schema=MERGE_SCHEMA)
+    columns both share."""
+    return dset.to_table(columns=MERGE_SCHEMA.names, use_threads=False)
 
 
 def merge_segment_rows(tbl: pa.Table, avgdl: float, cfg: IndexConfig,
@@ -321,12 +307,8 @@ def merge_segment_rows(tbl: pa.Table, avgdl: float, cfg: IndexConfig,
     term_id = np.repeat(term_id_row, df_row)
     uniq_codes = tcodes[new_term]   # term_id -> dictionary code
 
-    # pre-role runs and segments carry no roles blob: code 0
-    roles_all = np.frombuffer(
-        b"".join(b if b is not None else b"\x00" * int(d)
-                 for b, d in zip(tbl["roles"].to_pylist(),
-                                 df_row.tolist())),
-        dtype=np.uint8)
+    roles_all = np.frombuffer(b"".join(tbl["roles"].to_pylist()),
+                              dtype=np.uint8)
 
     order = np.lexsort((doc_abs, term_id))
     if tombstones is not None and tombstones.size:

@@ -12,17 +12,52 @@ this as the PostgreSQL ``words`` / ``word_idf`` tables,
 ``corpus_stats.json`` holds the corpus-level BM25 stats (N, total tokens,
 avgdl) plus the ids of the build shards they count, so that adding a
 shard's stats is idempotent (``load_corpus_stats`` / ``write_corpus_stats``).
+
+``index_meta.json`` holds the config an index was built with, its role
+flag and ``format_version``, the version of the on-disk layout
+(``load_index_meta`` / ``write_index_meta``, the only code that opens the
+file). An index of any other version is refused with a "rebuild"
+message: there is no code for older layouts.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 
 import pyarrow as pa
 
-from .reader import segment_files
+
+# Version of the on-disk layout this code writes and reads: bump it with
+# every change to the files of an index.
+FORMAT_VERSION = 4
+META_FILE = "index_meta.json"
+
+
+def write_index_meta(index_dir: str, meta: dict) -> dict:
+    """Atomically write ``index_meta.json``, stamped with
+    ``FORMAT_VERSION``; returns what was written."""
+    meta = {**meta, "format_version": FORMAT_VERSION}
+    path = os.path.join(index_dir, META_FILE)
+    with open(path + ".tmp", "w") as f:
+        json.dump(meta, f, indent=1, sort_keys=True)
+    os.replace(path + ".tmp", path)
+    return meta
+
+
+def load_index_meta(index_dir: str) -> dict:
+    """The index's ``index_meta.json``. Raises ``ValueError`` unless it
+    was written by this layout version."""
+    with open(os.path.join(index_dir, META_FILE)) as f:
+        meta = json.load(f)
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        found = ("no format version" if version is None
+                 else f"format version {version}")
+        raise ValueError(
+            f"{index_dir}: the index has {found}, and this code reads "
+            f"format version {FORMAT_VERSION} only; rebuild the index")
+    return meta
 
 
 def write_corpus_stats(index_dir: str, n_docs: int, total_tokens: int,
@@ -42,25 +77,12 @@ def write_corpus_stats(index_dir: str, n_docs: int, total_tokens: int,
 
 
 def load_corpus_stats(index_dir: str) -> dict:
-    """The index's corpus stats; an empty corpus when none are written.
-
-    A stats file from before ``shards`` was recorded counted every shard
-    on disk: every shard manifest and conv_map shard."""
+    """The index's corpus stats; an empty corpus when none are written."""
     path = os.path.join(index_dir, "corpus_stats.json")
     if not os.path.exists(path):
         return {"n_docs": 0, "total_tokens": 0, "avgdl": 0.0, "shards": []}
     with open(path) as f:
-        stats = json.load(f)
-    if "shards" not in stats:
-        names = [os.path.basename(p)[len("shard-"):-len(".json")]
-                 for p in glob.glob(os.path.join(index_dir, "_manifest",
-                                                 "shard-*.json"))]
-        names += [os.path.basename(p)[len("shard="):]
-                  for p in glob.glob(os.path.join(index_dir, "conv_map",
-                                                  "shard=*"))
-                  if not p.endswith(".tmp")]
-        stats["shards"] = sorted({int(n) for n in names})
-    return stats
+        return json.load(f)
 
 
 def term_stats_ds(index_dir: str):
@@ -72,6 +94,8 @@ def term_stats_ds(index_dir: str):
     """
     import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from .reader import segment_files
 
     ds = rd.read_parquet(segment_files(index_dir),
                          columns=["term", "df", "cf"])

@@ -279,12 +279,12 @@ def _nb_classify_exchange(sf_dir: str, label_col: str, cnt_ds,
         t_c[cls_idx[r["label"]]] = int(r["sum(cnt)"])
     # vocab size: every word's rows live in ONE exchange output block,
     # so per-block distinct-word counts sum exactly (map_batches with
-    # the default batch_size=None sees whole blocks)
+    # batch_size=None sees whole blocks)
     n_vocab = int(sum(
         r["nv"] for r in cnt_ds.map_batches(
             lambda b: pa.table({"nv": pa.array(
                 [len(set(b["word"].to_pylist()))], pa.int64())}),
-            batch_format="pyarrow").take_all()))
+            batch_format="pyarrow", batch_size=None).take_all()))
 
     def model_rows(batch: pa.Table) -> pa.Table:
         words = np.asarray(batch["word"].to_pylist(), dtype=object)

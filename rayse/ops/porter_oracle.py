@@ -92,9 +92,9 @@ def _stem_map() -> list[tuple[str, str]]:
 
 def _porter_reader(index_dir: str) -> tuple[IndexReader, BM25Params]:
     reader = IndexReader(index_dir)
-    if reader.meta.get("analyzer") != "porter":
+    if reader.meta["analyzer"] != "porter":
         raise ValueError(f"{index_dir} is not a porter-analyzer index")
-    return reader, BM25Params(**reader.meta.get("bm25", {}))
+    return reader, BM25Params(**reader.meta["bm25"])
 
 
 def _ranked_rows(index_dir: str, docs, score_q, k: int):
@@ -251,9 +251,6 @@ def porter_bm25_topk(index_dir: str, queries: list[str] | None = None,
             contrib = idf * bm25_tf(pl.tfs, pl.dls, avgdl, params)
             d = pl.doc_ids
             if role_code is not None:
-                if pl.roles is None:
-                    raise ValueError(
-                        "index was built without role stats")
                 m = pl.roles == role_code
                 d, contrib = d[m], contrib[m]
             doc_arrs.append(d)
@@ -2183,8 +2180,6 @@ def porter_facets(index_dir: str,
             pl = reader.merged(t)
             if pl is None:
                 continue
-            if pl.roles is None:
-                raise ValueError("index was built without role stats")
             doc_arrs.append(pl.doc_ids)
             role_arrs.append(pl.roles)
         if not doc_arrs:
@@ -3760,8 +3755,6 @@ def _role_avgdl_lut(index_dir: str) -> np.ndarray:
         pl = reader.merged(t)
         if pl is None:
             continue
-        if pl.roles is None:
-            raise ValueError("bm25f needs a role-stats index")
         ids_l.append(pl.doc_ids)
         dls_l.append(pl.dls)
         ros_l.append(pl.roles)
@@ -3805,8 +3798,6 @@ def porter_bm25f_topk(index_dir: str, queries: list[str] | None = None,
             pl = reader.merged(t)
             if pl is None:
                 continue
-            if pl.roles is None:
-                raise ValueError("bm25f needs a role-stats index")
             idf = float(np.log((1.0 + n) / (1.0 + pl.doc_ids.size)) + 1.0)
             f = pl.tfs.astype(np.float64) * w_lut[pl.roles]
             avg = avg_lut[pl.roles]

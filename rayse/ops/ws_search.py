@@ -129,9 +129,9 @@ FROM turns t JOIN ph
 
 def _ws_reader(index_dir: str) -> tuple[IndexReader, BM25Params]:
     reader = IndexReader(index_dir)
-    if reader.meta.get("analyzer") != "whitespace":
+    if reader.meta["analyzer"] != "whitespace":
         raise ValueError(f"{index_dir} is not a whitespace-analyzer index")
-    return reader, BM25Params(**reader.meta.get("bm25", {}))
+    return reader, BM25Params(**reader.meta["bm25"])
 
 
 def ws_bm25_topk(index_dir: str, queries: list[str] | None = None,

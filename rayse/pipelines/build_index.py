@@ -25,8 +25,15 @@ Index layout under ``out_dir``::
                                           (only parts that hold postings)
     _manifest/shard-{s}.json              per-shard build checkpoint
     _manifest/part-{p}.json               per-part counts and block-max avgdl
+    conv_map/shard={s}/                   conv_hash -> conv_id (hydration,
+                                          collision detection)
     corpus_stats.json                     N, total_tokens, avgdl, counted shards
+    index_meta.json                       config, role flag, format version
     metrics.json                          throughput + per-stage wall times
+
+An index is written and read in one format version only
+(``index.stats.FORMAT_VERSION``); ``build_index`` refuses a directory
+that holds an index of another version or config.
 
 Resume: a shard whose manifest exists is skipped; a part's segment records
 the shards it holds (``segments.write_segment``), so a re-run merges each
@@ -64,8 +71,18 @@ from ..index.segments import (
     segment_info,
     write_segment,
 )
-from ..index.stats import load_corpus_stats, write_corpus_stats
+from ..index.stats import (
+    META_FILE,
+    load_corpus_stats,
+    load_index_meta,
+    write_corpus_stats,
+    write_index_meta,
+)
 from ..stages.tokenize import TokenizeStage
+
+# turns per tokenize batch: a term's phase-1 run row holds at most one
+# batch's postings of it
+TOKENIZE_BATCH_SIZE = 1024
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +238,7 @@ def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
                        remap=remap, analyzer=cfg.analyzer),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=cfg.tokenize_batch_size,
+        batch_size=TOKENIZE_BATCH_SIZE,
     )
 
     tmp = os.path.join(out_dir, "runs", f"shard={shard_id}.tmp")
@@ -269,8 +286,7 @@ def compute_corpus_stats(out_dir: str, shard_mans: list[dict]) -> dict:
             continue
         counted.add(m["shard"])
         n_docs += m["n_turns"]
-        total += m["n_tokens"] if "n_tokens" in m else _run_tokens(
-            os.path.join(out_dir, "runs", f"shard={m['shard']}"))
+        total += m["n_tokens"]
     if counted == set(stats["shards"]):
         return stats
     return write_corpus_stats(out_dir, n_docs, total, counted)
@@ -303,15 +319,10 @@ class MergeWorker:
         man_path = os.path.join(self.out_dir, "_manifest", f"part-{part}.json")
         seg_dir = os.path.join(self.out_dir, "segments", f"part={part}")
         seg_path = os.path.join(seg_dir, SEGMENT_FILE)
-        held = self._held_shards(seg_path, man_path)
+        info = segment_info(seg_path) if os.path.exists(seg_path) else None
+        held = set(info["shards"]) if info else set()
         run_files = _run_files(self.out_dir, part, skip=held)
         if not run_files:
-            info = segment_info(seg_path)
-            if info is None:
-                # an old-layout segment's held shards come from its
-                # manifest's "inputs": keep that manifest as it is
-                with open(man_path) as f:
-                    return json.load(f)
             # re-run after a crash between the segment and manifest writes:
             # the segment already holds every run; its manifest may be stale
             seg = pq.read_table(seg_path, columns=["term", "df"])
@@ -337,23 +348,6 @@ class MergeWorker:
         _atomic_rename_dir(tmp_dir, seg_dir)
         return self._write_manifest(man_path, part, n_terms, n_postings,
                                     avgdl, time.perf_counter() - t0)
-
-    @staticmethod
-    def _held_shards(seg_path: str, man_path: str) -> set[int]:
-        """Shards whose runs the part's segment already holds: recorded in
-        the segment file itself; for a segment written before that, the
-        run files its part manifest lists as inputs."""
-        if not os.path.exists(seg_path):
-            return set()
-        info = segment_info(seg_path)
-        if info is not None:
-            return set(info["shards"])
-        try:
-            with open(man_path) as f:
-                man = json.load(f)
-        except OSError:
-            return set()
-        return {_shard_of(f) for f in man.get("inputs", [])}
 
     @staticmethod
     def _write_manifest(man_path: str, part: int, n_terms: int,
@@ -623,31 +617,31 @@ def build_index(input_path: str | list[str], out_dir: str,
                 merge_concurrency: int | None = None) -> BuildResult:
     """End-to-end index build. Safe to re-run: finished shards/parts skip.
     Only parts that receive postings get a segment and a manifest; the
-    shards' runs are deleted once merged."""
+    shards' runs are deleted once merged. Raises ``ValueError`` when
+    ``out_dir`` holds an index of another format version or config."""
+    from .hydrate import build_conv_map
+
     cfg = cfg or IndexConfig()
     t0 = time.perf_counter()
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-    _atomic_write_json(os.path.join(out_dir, "index_meta.json"), {
-        "part_bits": cfg.part_bits,
-        "block_size": cfg.block_size,
-        "with_positions": cfg.with_positions,
-        "compact_max_postings": cfg.compact_max_postings,
-        "bm25": {"k1": cfg.bm25.k1, "b": cfg.bm25.b},
-        "analyzer": cfg.analyzer,
-        "clean_html": cfg.clean_html,
-    })
+    if os.path.exists(os.path.join(out_dir, META_FILE)):
+        built = IndexConfig.from_meta(load_index_meta(out_dir))
+        if built != cfg:
+            raise ValueError(
+                f"{out_dir} holds an index built with {built}, not {cfg}; "
+                "build into an empty directory")
+    else:
+        # before any data: a re-run with another config is then refused.
+        # No role data is claimed until every shard is known to carry it.
+        os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
+        write_index_meta(out_dir, {**cfg.to_meta(), "roles_real": False})
 
     files = discover_input_files(input_path)
     shards = shard_files(files, shard_target_bytes)
     # conv_map FIRST (cheap single-column scan): collision detection must
     # complete before any doc_id is minted by the tokenize stage
-    remap: dict = {}
-    if cfg.build_conv_map:
-        from .hydrate import build_conv_map
-
-        for s_id, fl in enumerate(shards):
-            build_conv_map(fl, out_dir, s_id)
-        remap = resolve_conv_collisions(out_dir)
+    for s_id, fl in enumerate(shards):
+        build_conv_map(fl, out_dir, s_id)
+    remap = resolve_conv_collisions(out_dir)
     shard_mans = [
         build_runs_for_shard(s, fl, out_dir, cfg, remap=remap)
         for s, fl in enumerate(shards)
@@ -656,15 +650,11 @@ def build_index(input_path: str | list[str], out_dir: str,
 
     # per-index role-integrity flag: role queries are only sound when EVERY
     # shard carried real role data (a role-less shard's postings are all
-    # code 0 and would silently vanish from role-scoped results). Missing
-    # has_role (pre-round-3 manifests) defaults to True: those builds read
-    # the role column whenever files[0] had one.
-    meta_path = os.path.join(out_dir, "index_meta.json")
-    with open(meta_path) as f:
-        meta_now = json.load(f)
-    meta_now["roles_real"] = all(m.get("has_role", True)
-                                 for m in shard_mans) if shard_mans else False
-    _atomic_write_json(meta_path, meta_now)
+    # code 0 and would silently vanish from role-scoped results)
+    write_index_meta(out_dir, {
+        **cfg.to_meta(),
+        "roles_real": bool(shard_mans) and all(m["has_role"]
+                                               for m in shard_mans)})
 
     shard_ids = [m["shard"] for m in shard_mans]
     _merge_parts(out_dir, cfg, _run_parts(out_dir, shard_ids),
@@ -709,8 +699,8 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     - only the NEW files are tokenized (new shard ids continue the old
       sequence; finished shards skip via their manifests)
     - corpus stats are the old ``corpus_stats.json`` plus the new shards'
-      turns and tokens, so any index works as the base: a build, a
-      ``compact_index`` or ``merge_indexes`` output, or a legacy index
+      turns and tokens, so any index of this format version works as the
+      base: a build, a ``compact_index`` or ``merge_indexes`` output
     - only parts that received new runs re-merge — their segment plus the
       new runs — with the NEW corpus avgdl; their manifests record it
     - untouched parts keep their segments verbatim; their block_max was
@@ -725,26 +715,15 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     byte-identical except block_max for untouched parts, rank-identical
     queries — pinned by tests/test_append.py. Safe to re-run after a
     crash: stats and segments record the shards they hold."""
+    from .hydrate import build_conv_map
+
     t0 = time.perf_counter()
-    with open(os.path.join(out_dir, "index_meta.json")) as f:
-        meta = json.load(f)
+    meta = load_index_meta(out_dir)
     # record which shards the stats count before any new shard exists, so
     # that a re-run after a crash cannot count a new shard as an old one
     old_stats = load_corpus_stats(out_dir)
     write_corpus_stats(out_dir, old_stats["n_docs"],
                        old_stats["total_tokens"], old_stats["shards"])
-    # pre-role part manifests carry no "avgdl"; their block_max WAS built
-    # with the pre-append avgdl — backfill it NOW (before stats change) so
-    # the reader's bound correction stays exact for untouched legacy parts
-    old_avgdl = old_stats["avgdl"]
-    if old_avgdl:
-        for mp in glob.glob(os.path.join(out_dir, "_manifest",
-                                         "part-*.json")):
-            with open(mp) as f:
-                man = json.load(f)
-            if "avgdl" not in man:
-                man["avgdl"] = old_avgdl
-                _atomic_write_json(mp, man)
     cfg = IndexConfig.from_meta(meta)
 
     old_ids = []
@@ -773,13 +752,9 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     first_new = min((sid for sid in shard_ids if sid not in old_ids),
                     default=next_id)
 
-    remap: dict = {}
-    if os.path.isdir(os.path.join(out_dir, "conv_map")):
-        from .hydrate import build_conv_map
-
-        for sid, fl in zip(shard_ids, new_shards):
-            build_conv_map(fl, out_dir, sid)
-        remap = resolve_conv_collisions(out_dir, append_from=first_new)
+    for sid, fl in zip(shard_ids, new_shards):
+        build_conv_map(fl, out_dir, sid)
+    remap = resolve_conv_collisions(out_dir, append_from=first_new)
 
     new_mans = [
         build_runs_for_shard(sid, fl, out_dir, cfg, remap=remap)
@@ -787,22 +762,11 @@ def append_index(out_dir: str, new_input: str | list[str], *,
     ]
     stats = compute_corpus_stats(out_dir, new_mans)
 
-    # role-integrity after append: appending onto a PRE-ROLE index
-    # backfills legacy postings as role code 0 in re-merged parts while
-    # untouched parts carry no roles at all — role queries would behave
-    # differently depending on which parts a term touches. Record one
-    # uniform per-index flag (the reader/engine raise on role queries when
-    # it is false) instead of depending on per-term part coverage.
-    old_real = meta.get("roles_real")
-    if old_real is None:
-        seg_files = glob.glob(os.path.join(out_dir, "segments", "part=*",
-                                           SEGMENT_FILE))
-        old_real = bool(seg_files) and all(
-            "roles" in pq.ParquetFile(s).schema_arrow.names
-            for s in seg_files)
-    meta["roles_real"] = bool(old_real) and all(
-        m.get("has_role", True) for m in new_mans)
-    _atomic_write_json(os.path.join(out_dir, "index_meta.json"), meta)
+    # role-integrity after append: role-less new shards add code-0
+    # postings, so role queries are sound only while every shard had roles
+    meta["roles_real"] = meta["roles_real"] and all(
+        m["has_role"] for m in new_mans)
+    write_index_meta(out_dir, meta)
 
     # parts touched by any new shard re-merge with the new avgdl; a part
     # whose segment already holds the new runs (crash re-run) skips

@@ -98,7 +98,7 @@ def resolve_conv_ids(index_dir: str, doc_ids: np.ndarray) -> dict[int, str]:
                                    "*.parquet"))
     if not files:
         raise FileNotFoundError(
-            f"no conv_map under {index_dir} (build with cfg.build_conv_map)")
+            f"no conv_map under {index_dir}")
     tbl = pads.dataset(files).to_table(
         filter=pc.field("conv_hash").isin(list(hashes)))
     for h, c in zip(tbl["conv_hash"].to_pylist(),

@@ -72,9 +72,6 @@ def accumulate(reader, terms, idfs, avgdl: float, params: BM25Params,
         pl = reader.merged(t)
         if pl is None:
             continue
-        if (role_code is not None or role_lut is not None) \
-                and pl.roles is None:
-            raise ValueError("index was built without role stats")
         contrib = idf * bm25_tf(pl.tfs, pl.dls, avgdl, params)
         d = pl.doc_ids
         if role_lut is not None:
@@ -253,8 +250,6 @@ def score_docs(reader, docs: np.ndarray, terms, idfs,
             contrib = idf * bm25_tf(pl.tfs[j_c[present]],
                                     pl.dls[j_c[present]], avgdl, params)
             if role_lut is not None:
-                if pl.roles is None:
-                    raise ValueError("index was built without role stats")
                 contrib = contrib * role_lut[pl.roles[j_c[present]]]
             scores[present] += contrib
     return scores
@@ -271,7 +266,7 @@ class SearchEngine:
     def __init__(self, index_dir: str, parts: list[int] | None = None,
                  idf_variant: str = "v2"):
         self.reader = IndexReader(index_dir, parts)
-        self.params = BM25Params(**self.reader.meta.get("bm25", {}))
+        self.params = BM25Params(**self.reader.meta["bm25"])
         self._pos_cache = _PosCache()
         # A4: "v2" = ln((1+N)/(1+df))+1 (canonical, `IndexerService.java:966`);
         # "v1" = log10(N/(df+1)) (`IndexerService.java:507`)
@@ -329,8 +324,6 @@ class SearchEngine:
             pl = self.reader.merged(t)
             if pl is None:
                 continue
-            if pl.roles is None:
-                raise ValueError("index was built without role stats")
             j = np.searchsorted(pl.doc_ids, docs)
             j_c = np.minimum(j, pl.doc_ids.size - 1)
             hit = (pl.doc_ids[j_c] == docs) & ~found
@@ -583,7 +576,7 @@ class SearchEngine:
     def execute(self, pq_: ParsedQuery, k: int = 10, mode: str = "or",
                 role: str | None = None, role_weights: dict | None = None):
         if role is not None or role_weights is not None:
-            if not getattr(self.reader, "roles_real", True):
+            if not self.reader.roles_real:
                 raise ValueError(
                     "index contains postings without real role data "
                     "(built or appended from role-less input) — "

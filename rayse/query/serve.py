@@ -107,8 +107,10 @@ class SearchCluster:
         import ray
 
         from ..index.reader import present_parts
-        from ..index.stats import load_corpus_stats
+        from ..index.stats import load_corpus_stats, load_index_meta
 
+        # refuse another format version here, not inside every actor
+        load_index_meta(index_dir)
         self.n_docs = load_corpus_stats(index_dir)["n_docs"]
         parts = list(present_parts(index_dir))
         pool_size = max(1, min(pool_size, len(parts)))

@@ -156,8 +156,7 @@ def test_compacted_postings_internally_consistent(dirs):
     for t in sorted(r.vocabulary()):
         pl = r.merged(t)
         assert pl.doc_ids.size == pl.tfs.size == pl.dls.size
-        if pl.roles is not None:
-            assert pl.roles.size == pl.doc_ids.size
+        assert pl.roles.size == pl.doc_ids.size
         if pl.positions_blob:
             pos = pl.positions()
             assert len(pos) == pl.doc_ids.size
@@ -272,8 +271,7 @@ def test_merge_ranks_identical_to_union_build(dirs):
             want_pos = ref.positions()
             for g, w in zip(got_pos, want_pos):
                 assert np.array_equal(g, w), term
-        if pl.roles is not None:
-            assert np.array_equal(pl.roles, ref.roles), term
+        assert np.array_equal(pl.roles, ref.roles), term
 
 
 @pytest.fixture(scope="module")
@@ -328,12 +326,6 @@ def test_merge_equals_union_build_segments(cap8):
     parity = [int(c.rsplit("-", 1)[1]) % 2 for c in convs]
     even = build("even", [c for c, p in zip(convs, parity) if not p])
     odd = build("odd", [c for c, p in zip(convs, parity) if p])
-    # an index built while the build had a "strategy" option still merges
-    meta_path = os.path.join(even, "index_meta.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    with open(meta_path, "w") as f:
-        json.dump({**meta, "strategy": "combine"}, f)
     out = os.path.join(os.path.dirname(full), "cap8_merged")
     merge_indexes(even, odd, out)
     _assert_same_index(full, out)

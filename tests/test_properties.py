@@ -133,7 +133,7 @@ def _segment_row(rows) -> dict | None:
     return {"term": "t", "df": docs.size, "cf": int(tfs.sum()),
             "doc_ids": encode_varints(delta_encode(docs)),
             "tfs": encode_varints(tfs), "dls": encode_varints(tfs),
-            "roles": None, "positions": blob}
+            "roles": bytes(docs.size), "positions": blob}
 
 
 @given(_post, _post, st.integers(min_value=-1, max_value=30))
