@@ -89,18 +89,6 @@ def encode_positions(positions_per_doc: list[np.ndarray]) -> bytes:
     return encode_varints(np.concatenate(chunks))
 
 
-def decode_positions(buf: bytes, n_docs: int) -> list[np.ndarray]:
-    vals = decode_varints(buf)
-    out = []
-    i = 0
-    for _ in range(n_docs):
-        n = int(vals[i])
-        i += 1
-        out.append(np.cumsum(vals[i : i + n], dtype=np.uint64))
-        i += n
-    return out
-
-
 def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
     """Encoded byte length of each value (vectorized)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)

@@ -161,10 +161,11 @@ def _drop_stale_parts(out_dir: str, written) -> None:
 # shard-built indexes merge part-wise into a single index that ranks
 # IDENTICALLY to a fresh build over the union corpus).
 #
-# Preconditions (checked): same index_meta (analyzer/bm25/block_size/
-# part_bits), disjoint conversation sets (any shared conv hash raises —
-# the caller owns corpus partitioning), consistent positions/roles
-# availability. Parts are docID-range partitions in BOTH indexes, so
+# Preconditions (checked): the same IndexConfig (analyzer/bm25/
+# block_size/part_bits/positions), disjoint conversation sets (any shared
+# conv hash raises — the caller owns corpus partitioning). The role flag
+# may differ: the merged index has real roles only when both inputs do,
+# as with an append. Parts are docID-range partitions in BOTH indexes, so
 # part=N of A and part=N of B merge independently through the build's
 # merge — one Ray task per part, no shuffle; only corpus stats (three
 # integers per side) meet at the driver.
@@ -186,8 +187,9 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     import ray
 
     meta_a, meta_b = load_index_meta(dir_a), load_index_meta(dir_b)
-    if meta_a != meta_b:
-        raise ValueError("index_meta mismatch; refusing to merge "
+    cfg = IndexConfig.from_meta(meta_a)
+    if cfg != IndexConfig.from_meta(meta_b):
+        raise ValueError("index config mismatch; refusing to merge "
                          f"{meta_a} vs {meta_b}")
     stats_a, stats_b = load_corpus_stats(dir_a), load_corpus_stats(dir_b)
     for d in (dir_a, dir_b):
@@ -214,7 +216,6 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
     n_docs = stats_a["n_docs"] + stats_b["n_docs"]
     total_tokens = stats_a["total_tokens"] + stats_b["total_tokens"]
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
-    cfg = IndexConfig.from_meta(meta_a)
 
     pa_map, pb_map = present_parts(dir_a), present_parts(dir_b)
     os.makedirs(out_dir, exist_ok=True)
@@ -227,7 +228,9 @@ def merge_indexes(dir_a: str, dir_b: str, out_dir: str) -> dict:
         os.path.join(out_dir, "segments", f"part={pid}"),
         avgdl, cfg, None, []) for pid in pids])
 
-    write_index_meta(out_dir, meta_a)
+    write_index_meta(out_dir, {
+        **cfg.to_meta(),
+        "roles_real": meta_a["roles_real"] and meta_b["roles_real"]})
     man_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(man_dir, exist_ok=True)
     _drop_stale_parts(out_dir, [pid for pid, ps in zip(pids, part_stats)

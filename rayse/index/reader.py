@@ -5,10 +5,18 @@ Replaces the reference's serving-side RAM index load
 the per-term PostgreSQL probes (`Query/QueryService.java:441-463`).
 
 A ``PartReader`` holds ONE doc-partition's segment table in memory (Arrow,
-blobs stay compressed; decode is per-term on demand, memoized).  An
-``IndexReader`` aggregates all parts for single-process use (tests, small
-corpora); the distributed serving path gives each actor a PartReader set
+blobs stay compressed; decode is per-term on demand, memoized) and its
+term dictionary: one sorted Python list of the distinct terms, looked up
+with ``bisect``, beside numpy arrays of each term's first segment row and
+its summed df and cf. The same list serves prefix, regexp and fuzzy
+expansion, and, reversed once, suffix expansion. An ``IndexReader``
+aggregates all parts for single-process use (tests, small corpora); the
+distributed serving path gives each actor a PartReader set
 (`rayse.query.serve`).
+
+Positions stay compressed in the decoded posting lists: a phrase or
+proximity query decodes the positions of its candidate postings only
+(``DecodedPostings.positions_at``) and keeps none of them.
 
 Only parts that hold postings have a segment file (``present_parts``); a
 part whose manifest records postings but whose segment is gone is an
@@ -20,11 +28,13 @@ from __future__ import annotations
 import glob
 import json
 import os
+from bisect import bisect_left
 
 import numpy as np
 import pyarrow.parquet as pq
 
-from .segments import SEGMENT_FILE, DecodedPostings, decode_rows
+from .segments import (SEGMENT_FILE, DecodedPostings, concat_postings,
+                       decode_rows)
 from .stats import load_index_meta
 
 
@@ -100,46 +110,47 @@ class PartReader:
         # max(1, avgdl_now/avgdl_at_merge) keeps block-max pruning exact
         self.bound_scale = bound_scale
         tbl = pq.read_table(os.path.join(part_dir, SEGMENT_FILE))
-        self._tbl = tbl
-        # term -> (row_start, row_end) over rows sorted by (term, salt)
-        terms = tbl["term"].to_pylist()
-        self._rows: dict[str, tuple[int, int]] = {}
-        prev = None
-        start = 0
-        for i, t in enumerate(terms):
-            if t != prev:
-                if prev is not None:
-                    self._rows[prev] = (start, i)
-                prev = t
-                start = i
-        if prev is not None:
-            self._rows[prev] = (start, len(terms))
+        # The term dictionary: segment rows are sorted by (term, salt), so
+        # the unique terms in row order are sorted, and term i owns rows
+        # [_starts[i], _starts[i + 1]); its df and cf are summed once.
+        rows = tbl["term"].to_numpy(zero_copy_only=False)
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
+        self._terms: list[str] = rows[starts].tolist()
+        self._starts = np.append(starts, rows.size)
+        self._df = np.add.reduceat(tbl["df"].to_numpy(), starts) \
+            if starts.size else np.empty(0, np.int64)
+        self._cf = np.add.reduceat(tbl["cf"].to_numpy(), starts) \
+            if starts.size else np.empty(0, np.int64)
+        self._tbl = tbl.drop_columns(["term"])
         self._cache: dict[str, DecodedPostings] = {}
 
+    def _find(self, term: str) -> int:
+        """The term's index in the dictionary, or -1."""
+        i = bisect_left(self._terms, term)
+        return i if i < len(self._terms) and self._terms[i] == term else -1
+
     def df(self, term: str) -> int:
-        span = self._rows.get(term)
-        if span is None:
-            return 0
-        return sum(self._tbl["df"][i].as_py() for i in range(*span))
+        i = self._find(term)
+        return int(self._df[i]) if i >= 0 else 0
 
     def cf(self, term: str) -> int:
-        span = self._rows.get(term)
-        if span is None:
-            return 0
-        return sum(self._tbl["cf"][i].as_py() for i in range(*span))
+        i = self._find(term)
+        return int(self._cf[i]) if i >= 0 else 0
 
     def postings(self, term: str) -> DecodedPostings | None:
         hit = self._cache.get(term)
         if hit is not None:
             return hit
-        span = self._rows.get(term)
-        if span is None:
+        i = self._find(term)
+        if i < 0:
             return None
         names = ["doc_ids", "tfs", "dls", "roles", "positions", "block_max",
                  "block_last"]
         rows = [
-            {name: self._tbl[name][i].as_py() for name in names}
-            for i in range(*span)
+            {name: self._tbl[name][r].as_py() for name in names}
+            for r in range(int(self._starts[i]), int(self._starts[i + 1]))
         ]
         dec = decode_rows(rows, self.block_size)
         if self.bound_scale != 1.0:
@@ -147,34 +158,36 @@ class PartReader:
         self._cache[term] = dec
         return dec
 
-    def terms(self) -> list[str]:
-        return list(self._rows.keys())
+    def sorted_terms(self) -> list[str]:
+        """The part's term dictionary: its distinct terms, sorted. The
+        list itself, not a copy (do not mutate it); prefix and regexp
+        expansion range-scan it with ``bisect``, fuzzy expansion filters
+        it."""
+        return self._terms
 
-    def sorted_terms(self) -> np.ndarray:
-        """The part's term dictionary as a sorted array (segment rows are
-        (term, salt)-sorted, so ``_rows`` insertion order IS sorted
-        order); memoized — the range-scan side of prefix queries."""
-        st = getattr(self, "_sorted_terms", None)
-        if st is None:
-            st = np.array(list(self._rows.keys()), dtype=object)
-            self._sorted_terms = st
-        return st
-
-    def reversed_terms(self) -> tuple[np.ndarray, np.ndarray]:
+    def reversed_terms(self) -> tuple[list[str], list[str]]:
         """(reversed terms sorted, matching original terms) — the Lucene
         reversed-wildcard-field analog: reverse each dictionary term once,
         sort once, memoize; a leading-wildcard (suffix) query then costs a
-        binary range scan instead of a full-vocabulary filter. At web
-        scale the reversed dictionary is a persisted merge-time sidecar
-        behind this same signature."""
+        binary range scan instead of a full-vocabulary filter. Built on
+        the first suffix query only. At web scale the reversed dictionary
+        is a persisted merge-time sidecar behind this same signature."""
         rt = getattr(self, "_reversed_terms", None)
         if rt is None:
-            arr = self.sorted_terms()
-            rev = np.array([t[::-1] for t in arr.tolist()], dtype=object)
-            order = np.argsort(rev)
-            rt = (rev[order], arr[order])
+            pairs = sorted((t[::-1], t) for t in self._terms)
+            rt = ([r for r, _ in pairs], [t for _, t in pairs])
             self._reversed_terms = rt
         return rt
+
+
+def _prefixed(terms: list[str], prefix: str) -> list[str]:
+    """The terms of the sorted list ``terms`` that start with ``prefix``
+    (all of them for ""): a binary range scan over
+    [prefix, prefix + U+FFFF)."""
+    if not prefix:
+        return terms
+    return terms[bisect_left(terms, prefix):
+                 bisect_left(terms, prefix + "\uffff")]
 
 
 class IndexReader:
@@ -233,8 +246,7 @@ class IndexReader:
 
     def merged(self, term: str) -> DecodedPostings | None:
         """One term's postings across ALL loaded parts, doc_id-ascending
-        (memoized). Positions/block arrays concatenate alignment-safely
-        (the positions byte stream is per-doc self-delimited)."""
+        (memoized; ``concat_postings`` of the parts' lists)."""
         hit = self._merged.get(term, False)
         if hit is not False:
             return hit
@@ -243,24 +255,7 @@ class IndexReader:
             pl = pr.postings(term)
             if pl is not None:
                 pls.append(pl)
-        if not pls:
-            out = None
-        elif len(pls) == 1:
-            out = pls[0]
-        else:
-            offs = np.concatenate(
-                ([0], np.cumsum([p.doc_ids.size for p in pls])[:-1]))
-            out = DecodedPostings(
-                np.concatenate([p.doc_ids for p in pls]),
-                np.concatenate([p.tfs for p in pls]),
-                np.concatenate([p.dls for p in pls]),
-                b"".join(p.positions_blob for p in pls),
-                np.concatenate([p.block_max for p in pls]),
-                np.concatenate([p.block_last for p in pls]),
-                np.concatenate([p.block_starts + o
-                                for p, o in zip(pls, offs.tolist())]),
-                np.concatenate([p.roles for p in pls]),
-            )
+        out = concat_postings(pls) if pls else None
         if len(pls) > 1:
             # drop per-part cached copies: the merged view supersedes them
             for pr in self.parts:
@@ -292,7 +287,7 @@ class IndexReader:
     def vocabulary(self) -> set[str]:
         out: set[str] = set()
         for p in self.parts:
-            out.update(p.terms())
+            out.update(p.sorted_terms())
         return out
 
     def terms_within_edit1(self, word: str) -> list[str]:
@@ -306,15 +301,8 @@ class IndexReader:
         lw = len(word)
         out: set[str] = set()
         for p in self.parts:
-            arr = p.sorted_terms()
-            if arr.size == 0:
-                continue
-            lens = np.fromiter((len(t) for t in arr.tolist()),
-                               np.int64, arr.size)
-            cand = arr[np.abs(lens - lw) <= 1]
-            for t in cand.tolist():
-                if _edit1(word, t):
-                    out.add(t)
+            out.update(t for t in p.sorted_terms()
+                       if abs(len(t) - lw) <= 1 and _edit1(word, t))
         return sorted(out)
 
     def doc_term_vector(self, doc_id: int) -> list[tuple[str, int]]:
@@ -336,13 +324,15 @@ class IndexReader:
             tbl = p._tbl
             from .encoding import decode_varints
 
+            term_of_row = np.repeat(np.arange(len(p._terms)),
+                                    np.diff(p._starts))
             for i in range(tbl.num_rows):
                 d = np.cumsum(decode_varints(tbl["doc_ids"][i].as_py()),
                               dtype=np.uint64)
                 j = int(np.searchsorted(d, did))
                 if j < d.size and d[j] == did:
                     tf = int(decode_varints(tbl["tfs"][i].as_py())[j])
-                    out.append((tbl["term"][i].as_py(), tf))
+                    out.append((p._terms[term_of_row[i]], tf))
         return sorted(out)
 
     def terms_with_suffix(self, suffix: str) -> list[str]:
@@ -351,13 +341,11 @@ class IndexReader:
         range scan over each part's reversed sorted dictionary
         (``reversed_terms``), NOT a full-vocabulary filter."""
         rkey = suffix[::-1]
-        hi_key = rkey + "￿"
         out: set[str] = set()
         for p in self.parts:
-            rarr, orig = p.reversed_terms()
-            lo = int(np.searchsorted(rarr, rkey))
-            hi = int(np.searchsorted(rarr, hi_key))
-            out.update(orig[lo:hi].tolist())
+            rev, orig = p.reversed_terms()
+            out.update(orig[bisect_left(rev, rkey):
+                            bisect_left(rev, rkey + "\uffff")])
         return sorted(out)
 
     def terms_matching(self, pattern: str) -> list[str]:
@@ -379,14 +367,8 @@ class IndexReader:
         prefix = "".join(lit)
         out: set[str] = set()
         for p in self.parts:
-            arr = p.sorted_terms()
-            if arr.size == 0:
-                continue
-            if prefix:
-                lo = int(np.searchsorted(arr, prefix))
-                hi = int(np.searchsorted(arr, prefix + "\uffff"))
-                arr = arr[lo:hi]
-            out.update(t for t in arr.tolist() if rx.fullmatch(t))
+            out.update(t for t in _prefixed(p.sorted_terms(), prefix)
+                       if rx.fullmatch(t))
         return sorted(out)
 
     def terms_with_prefix(self, prefix: str) -> list[str]:
@@ -394,11 +376,7 @@ class IndexReader:
         binary range scan ([prefix, prefix+U+FFFF)) over each part's
         sorted dictionary, NOT a full-vocabulary filter: per-part cost is
         O(log |dict| + matches)."""
-        hi_key = prefix + "￿"
         out: set[str] = set()
         for p in self.parts:
-            arr = p.sorted_terms()
-            lo = int(np.searchsorted(arr, prefix))
-            hi = int(np.searchsorted(arr, hi_key))
-            out.update(arr[lo:hi].tolist())
+            out.update(_prefixed(p.sorted_terms(), prefix))
         return sorted(out)

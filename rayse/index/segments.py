@@ -126,17 +126,28 @@ class DecodedPostings:
         self.block_starts = block_starts
         self.roles = roles
 
+    def positions_at(self, take) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute positions of the postings ``take`` (indices), in that
+        order: (flat uint64 positions, count of each posting). Only the
+        taken postings' byte slices are gathered and decoded, in one
+        varint pass; nothing is kept. A slice's leading count equals the
+        posting's tf, so it is dropped, not read."""
+        counts = self.tfs[take].astype(np.int64)
+        if not counts.size:
+            return np.empty(0, np.uint64), counts
+        raw, _ = gather_positions(self.positions_blob, self.tfs, take)
+        vals = decode_varints(raw)
+        seg = np.cumsum(counts) - counts        # each posting's first value
+        gaps = np.delete(vals, seg + np.arange(counts.size))
+        return segmented_cumsum_abs(gaps, seg), counts
+
     def positions(self) -> list[np.ndarray]:
-        """Decode per-doc position lists (lazy — phrase queries only)."""
-        vals = decode_varints(self.positions_blob)
-        out = []
-        i = 0
-        for _ in range(self.doc_ids.size):
-            c = int(vals[i])
-            i += 1
-            out.append(np.cumsum(vals[i:i + c], dtype=np.uint64))
-            i += c
-        return out
+        """Per-posting position arrays of the whole list (views over one
+        ``positions_at`` decode)."""
+        if not self.doc_ids.size:
+            return []
+        flat, counts = self.positions_at(np.arange(self.doc_ids.size))
+        return np.split(flat, np.cumsum(counts)[:-1])
 
 
 def decode_rows(rows: list[dict], block_size: int = 128) -> DecodedPostings:
@@ -167,6 +178,28 @@ def decode_rows(rows: list[dict], block_size: int = 128) -> DecodedPostings:
         np.asarray(bl, dtype=np.uint64),
         np.concatenate(bs_parts) if bs_parts else np.empty(0, np.int64),
         np.frombuffer(b"".join(role_blobs), dtype=np.uint8),
+    )
+
+
+def concat_postings(pls: list[DecodedPostings]) -> DecodedPostings:
+    """One list from doc-ascending lists over ascending, disjoint doc
+    ranges (a term's lists in ascending part order). Positions and block
+    arrays concatenate alignment-safely: the positions byte stream is
+    per-posting self-delimited."""
+    if len(pls) == 1:
+        return pls[0]
+    sizes = np.asarray([p.doc_ids.size for p in pls], dtype=np.int64)
+    offs = np.cumsum(sizes) - sizes       # each list's first posting
+    return DecodedPostings(
+        np.concatenate([p.doc_ids for p in pls]),
+        np.concatenate([p.tfs for p in pls]),
+        np.concatenate([p.dls for p in pls]),
+        b"".join(p.positions_blob for p in pls),
+        np.concatenate([p.block_max for p in pls]),
+        np.concatenate([p.block_last for p in pls]),
+        np.concatenate([p.block_starts + o
+                        for p, o in zip(pls, offs.tolist())]),
+        np.concatenate([p.roles for p in pls]),
     )
 
 

@@ -281,14 +281,13 @@ def porter_phrase_matches(index_dir: str,
                           phrases: list[str] | None = None) -> pa.Table:
     """ALL turns containing each analyzed phrase as adjacent positions in
     the Porter index — J6 positional verification on the flagship path."""
-    from ..query.engine import _PosCache, phrase_match
+    from ..query.engine import phrase_match
 
     phrases = phrases if phrases is not None else PORTER_PHRASES
     reader, _ = _porter_reader(index_dir)
-    cache = _PosCache()
     out_p, out_c, out_t = [], [], []
     for p in phrases:
-        docs = phrase_match(reader, _analyzed_seq(p), cache)
+        docs = phrase_match(reader, _analyzed_seq(p))
         if docs.size == 0:
             continue
         cmap = resolve_conv_ids(reader.index_dir, docs)
@@ -3890,12 +3889,11 @@ def porter_phrase_selectivity(index_dir: str,
     Everything reads the index's own term statistics (df from the
     merged dictionary — no corpus pass) except the actual, which is the
     production ``phrase_match`` path. DuckDB hash-matched."""
-    from ..query.engine import _PosCache, phrase_match
+    from ..query.engine import phrase_match
 
     phrases = phrases if phrases is not None else PORTER_PHRASES
     reader, _ = _porter_reader(index_dir)
     n = int(reader.n_docs)
-    cache = _PosCache()
     out = []
     for p in sorted(phrases):
         terms = _analyzed_seq(p)
@@ -3907,7 +3905,7 @@ def porter_phrase_selectivity(index_dir: str,
         for d in dfs:
             est *= d
         est //= n ** (len(terms) - 1) if len(terms) > 1 else 1
-        actual = int(phrase_match(reader, terms, cache).size)
+        actual = int(phrase_match(reader, terms).size)
         out.append((p, n, est, actual))
     return pa.table({
         "phrase": pa.array([r[0] for r in out], pa.string()),
@@ -4419,32 +4417,21 @@ def porter_gapphrase_matches(index_dir: str,
                              ) -> pa.Table:
     """(pattern, conv_id, turn_idx): turns where term_b occurs exactly
     ``gap`` stream positions after term_a — DuckDB hash-matched."""
-    from ..query.engine import _PosCache, _intersect_sorted
+    from ..query.engine import _conjunction, _intersect_sorted, _occurrences
 
     patterns = patterns if patterns is not None else GAP_PATTERNS
     reader, _ = _porter_reader(index_dir)
-    cache = _PosCache()
     out_p, out_c, out_t = [], [], []
     SHIFT = np.uint64(32)
     for ta, tb, gap in patterns:
         label = f"{ta} *{gap - 1} {tb}"
-        pls = [reader.merged(ta), reader.merged(tb)]
-        if any(pl is None for pl in pls):
-            continue
-        cand = _intersect_sorted(pls[0].doc_ids, pls[1].doc_ids)
+        pls, cand = _conjunction(reader, [ta, tb])
         if cand.size == 0:
             continue
         offsets = [0, gap]
         start_keys = None
         for pl, off in zip(pls, offsets):
-            pos_lists = cache.get(pl)
-            j = np.searchsorted(pl.doc_ids, cand)
-            lens = np.array([pos_lists[int(x)].size for x in j],
-                            np.int64)
-            ranks = np.repeat(np.arange(cand.size, dtype=np.uint64),
-                              lens)
-            pos = (np.concatenate([pos_lists[int(x)] for x in j])
-                   if j.size else np.empty(0, np.uint64))
+            ranks, pos = _occurrences(pl, cand)
             keys = (ranks << SHIFT) | ((pos - np.uint64(off))
                                        & np.uint64(0xFFFFFFFF))
             keys.sort()

@@ -449,14 +449,13 @@ def ws_phrase_matches(index_dir: str,
                       phrases: list[str] | None = None) -> pa.Table:
     """ALL turns containing each phrase as adjacent tokens — the positional
     phrase machinery (J6) under a DuckDB substring oracle."""
-    from ..query.engine import _PosCache, phrase_match
+    from ..query.engine import phrase_match
 
     phrases = phrases if phrases is not None else WS_PHRASES
     reader, _ = _ws_reader(index_dir)
-    cache = _PosCache()
     out_p, out_c, out_t = [], [], []
     for p in phrases:
-        docs = phrase_match(reader, p.split(" "), cache)
+        docs = phrase_match(reader, p.split(" "))
         if docs.size == 0:
             continue
         cmap = resolve_conv_ids(reader.index_dir, docs)

@@ -38,20 +38,6 @@ _EMPTY_U64 = np.empty(0, dtype=np.uint64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
-class _PosCache:
-    """Per-engine memo of decoded per-doc position lists."""
-
-    def __init__(self):
-        self._m: dict[int, list[np.ndarray]] = {}
-
-    def get(self, pl: DecodedPostings) -> list[np.ndarray]:
-        key = id(pl)
-        hit = self._m.get(key)
-        if hit is None:
-            hit = self._m[key] = pl.positions()
-        return hit
-
-
 def accumulate(reader, terms, idfs, avgdl: float, params: BM25Params,
                role_code: int | None = None,
                role_lut: np.ndarray | None = None):
@@ -120,54 +106,78 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.intersect1d(a, b, assume_unique=True)
 
 
-def phrase_match(reader, phrase, pos_cache: _PosCache) -> np.ndarray:
+def _conjunction(reader, terms):
+    """(posting lists of ``terms``, doc_ids holding every term,
+    ascending), intersecting from the rarest list; no lists and no docs
+    when a term is absent."""
+    pls = []
+    for t in terms:
+        pl = reader.merged(t)
+        if pl is None:
+            return [], _EMPTY_U64
+        pls.append(pl)
+    if not pls:
+        return pls, _EMPTY_U64
+    by_df = sorted(pls, key=lambda pl: pl.doc_ids.size)
+    cand = by_df[0].doc_ids
+    for pl in by_df[1:]:
+        if cand.size == 0:
+            break
+        cand = _intersect_sorted(cand, pl.doc_ids)
+    return pls, cand
+
+
+def _require_positions(reader) -> None:
+    """Raise when the index holds no positions (built with
+    ``IndexConfig(with_positions=False)``): a positional predicate there
+    has nothing to check."""
+    if not reader.meta["with_positions"]:
+        raise ValueError(
+            f"{reader.index_dir} was built with with_positions=False: "
+            "phrase and proximity queries of two or more terms need "
+            "positions; rebuild with positions")
+
+
+def _occurrences(pl: DecodedPostings, cand: np.ndarray):
+    """(candidate rank, position) of every occurrence of ``pl``'s term in
+    the docs ``cand`` (each of which holds the term), decoded from those
+    postings only."""
+    pos, counts = pl.positions_at(np.searchsorted(pl.doc_ids, cand))
+    return np.repeat(np.arange(cand.size, dtype=np.uint64), counts), pos
+
+
+_SHIFT = np.uint64(32)
+_MASK = np.uint64(0xFFFFFFFF)
+
+
+def phrase_match(reader, phrase) -> np.ndarray:
     """doc_ids (ascending) containing the exact phrase
     (post-analyzer adjacency, `Ranker1.java:370-449`). A phrase that
     analyzes to no terms (all stopwords) matches nothing."""
-    if not phrase:
-        return _EMPTY_U64
-    pls = []
-    for t in phrase:
-        pl = reader.merged(t)
-        if pl is None:
-            return _EMPTY_U64
-        pls.append(pl)
-    # intersect starting from the rarest list (same set, fastest order)
-    by_df = sorted(range(len(pls)), key=lambda i: pls[i].doc_ids.size)
-    cand = pls[by_df[0]].doc_ids
-    for i in by_df[1:]:
-        cand = _intersect_sorted(cand, pls[i].doc_ids)
-        if cand.size == 0:
-            return _EMPTY_U64
-    if len(pls) == 1:
+    if len(phrase) > 1:
+        _require_positions(reader)
+    pls, cand = _conjunction(reader, phrase)
+    if len(pls) < 2 or cand.size == 0:
         return cand
     # Vectorized adjacency over ALL candidates at once: encode each term's
     # occurrences as (candidate_rank << 32 | position - i) keys and chain
     # set intersections — a start position p survives iff term_i occurs at
     # p+i for every i (`Ranker1.java:370-449` semantics, no per-doc loop).
-    pos_lists = [pos_cache.get(pl) for pl in pls]
-    SHIFT = np.uint64(32)
     start_keys = None
     for i, pl in enumerate(pls):
-        j = np.searchsorted(pl.doc_ids, cand)
-        lens = np.array([pos_lists[i][int(x)].size for x in j],
-                        dtype=np.int64)
-        ranks = np.repeat(np.arange(cand.size, dtype=np.uint64), lens)
-        pos = (np.concatenate([pos_lists[i][int(x)] for x in j])
-               if j.size else np.empty(0, np.uint64))
+        ranks, pos = _occurrences(pl, cand)
         # underflow (pos < i) wraps to huge values that never intersect
-        keys = (ranks << SHIFT) | ((pos - np.uint64(i)) & np.uint64(0xFFFFFFFF))
+        keys = (ranks << _SHIFT) | ((pos - np.uint64(i)) & _MASK)
         keys.sort()
         start_keys = keys if start_keys is None else _intersect_sorted(
             start_keys, keys)
         if start_keys.size == 0:
             return _EMPTY_U64
-    hit_ranks = np.unique(start_keys >> SHIFT).astype(np.int64)
+    hit_ranks = np.unique(start_keys >> _SHIFT).astype(np.int64)
     return cand[hit_ranks]
 
 
-def sloppy_match(reader, terms, slop: int,
-                 pos_cache: _PosCache) -> np.ndarray:
+def sloppy_match(reader, terms, slop: int) -> np.ndarray:
     """doc_ids (ascending) where every unordered pair of the distinct
     query terms co-occurs within ``slop`` tokens — min over occurrence
     pairs of |p_a − p_b| ≤ slop in the analyzed position stream.
@@ -184,32 +194,15 @@ def sloppy_match(reader, terms, slop: int,
     occurrence probes its two same-rank neighbors in the other term's
     sorted keys (the per-doc min |Δpos| is always at the insertion
     boundary), min-reduced per rank."""
-    pls = []
-    for t in terms:
-        pl = reader.merged(t)
-        if pl is None:
-            return _EMPTY_U64
-        pls.append(pl)
-    by_df = sorted(range(len(pls)), key=lambda i: pls[i].doc_ids.size)
-    cand = pls[by_df[0]].doc_ids
-    for i in by_df[1:]:
-        cand = _intersect_sorted(cand, pls[i].doc_ids)
-        if cand.size == 0:
-            return _EMPTY_U64
-    if len(pls) == 1:
+    if len(terms) > 1:
+        _require_positions(reader)
+    pls, cand = _conjunction(reader, terms)
+    if len(pls) < 2 or cand.size == 0:
         return cand
-    pos_lists = [pos_cache.get(pl) for pl in pls]
-    SHIFT = np.uint64(32)
-    MASK = np.uint64(0xFFFFFFFF)
     keys = []
-    for i, pl in enumerate(pls):
-        j = np.searchsorted(pl.doc_ids, cand)
-        lens = np.array([pos_lists[i][int(x)].size for x in j],
-                        dtype=np.int64)
-        ranks = np.repeat(np.arange(cand.size, dtype=np.uint64), lens)
-        pos = (np.concatenate([pos_lists[i][int(x)] for x in j])
-               if j.size else np.empty(0, np.uint64))
-        kk = (ranks << SHIFT) | (pos.astype(np.uint64) & MASK)
+    for pl in pls:
+        ranks, pos = _occurrences(pl, cand)
+        kk = (ranks << _SHIFT) | (pos & _MASK)
         kk.sort()
         keys.append(kk)
     ok = np.ones(cand.size, dtype=bool)
@@ -217,15 +210,15 @@ def sloppy_match(reader, terms, slop: int,
     for a in range(len(pls)):
         for b in range(a + 1, len(pls)):
             ka, kb = keys[a], keys[b]
-            ra = (ka >> SHIFT).astype(np.int64)
-            pa_ = (ka & MASK).astype(np.int64)
+            ra = (ka >> _SHIFT).astype(np.int64)
+            pa_ = (ka & _MASK).astype(np.int64)
             best = np.full(cand.size, far, dtype=np.int64)
             j = np.searchsorted(kb, ka)
             for jj in (np.maximum(j - 1, 0),
                        np.minimum(j, kb.size - 1)):
                 nb = kb[jj]
-                same = (nb >> SHIFT).astype(np.int64) == ra
-                d = np.abs((nb & MASK).astype(np.int64) - pa_)
+                same = (nb >> _SHIFT).astype(np.int64) == ra
+                d = np.abs((nb & _MASK).astype(np.int64) - pa_)
                 np.minimum.at(best, ra[same], d[same])
             ok &= best <= slop
             if not ok.any():
@@ -267,7 +260,6 @@ class SearchEngine:
                  idf_variant: str = "v2"):
         self.reader = IndexReader(index_dir, parts)
         self.params = BM25Params(**self.reader.meta["bm25"])
-        self._pos_cache = _PosCache()
         # A4: "v2" = ln((1+N)/(1+df))+1 (canonical, `IndexerService.java:966`);
         # "v1" = log10(N/(df+1)) (`IndexerService.java:507`)
         self.idf_variant = idf_variant
@@ -357,7 +349,7 @@ class SearchEngine:
         those terms. ``slop=0`` still differs from exact phrase (order
         is free); exact adjacency is ``phrase``."""
         terms = list(dict.fromkeys(phrase))
-        docs = sloppy_match(self.reader, terms, slop, self._pos_cache)
+        docs = sloppy_match(self.reader, terms, slop)
         if docs.size == 0:
             return _EMPTY_U64, _EMPTY_F64
         idfs = self._idfs(terms)
@@ -372,7 +364,7 @@ class SearchEngine:
         from ..index.segments import ROLE_CODES
 
         terms = list(dict.fromkeys(phrase))
-        docs = phrase_match(self.reader, phrase, self._pos_cache)
+        docs = phrase_match(self.reader, phrase)
         if docs.size and role is not None:
             docs = docs[self._role_of_docs(docs, phrase[0])
                         == ROLE_CODES[role]]
@@ -391,18 +383,9 @@ class SearchEngine:
         BM25 scoring with the optional per-role multiplier LUT."""
         from ..index.segments import ROLE_CODES
 
-        pls = []
-        for t in terms:
-            pl = self.reader.merged(t)
-            if pl is None:
-                return _EMPTY_U64, _EMPTY_F64
-            pls.append(pl)
-        by_df = sorted(range(len(pls)), key=lambda i: pls[i].doc_ids.size)
-        cand = pls[by_df[0]].doc_ids
-        for i in by_df[1:]:
-            cand = _intersect_sorted(cand, pls[i].doc_ids)
-            if cand.size == 0:
-                return _EMPTY_U64, _EMPTY_F64
+        _, cand = _conjunction(self.reader, terms)
+        if cand.size == 0:
+            return _EMPTY_U64, _EMPTY_F64
         if role is not None:
             cand = cand[self._role_of_docs(cand, terms) == ROLE_CODES[role]]
             if cand.size == 0:
@@ -429,18 +412,9 @@ class SearchEngine:
         `WordDocumentMetricsRepository.java:32-38`): sorted-list
         intersection from the rarest list (not a union accumulate — the
         intersection is never larger than the smallest df)."""
-        pls = []
-        for t in terms:
-            pl = self.reader.merged(t)
-            if pl is None:
-                return _EMPTY_U64, _EMPTY_F64
-            pls.append(pl)
-        by_df = sorted(range(len(pls)), key=lambda i: pls[i].doc_ids.size)
-        cand = pls[by_df[0]].doc_ids
-        for i in by_df[1:]:
-            cand = _intersect_sorted(cand, pls[i].doc_ids)
-            if cand.size == 0:
-                return _EMPTY_U64, _EMPTY_F64
+        _, cand = _conjunction(self.reader, terms)
+        if cand.size == 0:
+            return _EMPTY_U64, _EMPTY_F64
         idfs = self._idfs(terms)
         s = score_docs(self.reader, cand, terms, idfs, self.reader.avgdl,
                        self.params)
@@ -473,7 +447,7 @@ class SearchEngine:
 
     def phrase(self, phrase, k: int = 10):
         terms = list(dict.fromkeys(phrase))
-        docs = phrase_match(self.reader, phrase, self._pos_cache)
+        docs = phrase_match(self.reader, phrase)
         if docs.size == 0:
             return _EMPTY_U64, _EMPTY_F64
         idfs = self._idfs(terms)
@@ -483,7 +457,7 @@ class SearchEngine:
 
     def phrase_docs(self, phrase) -> np.ndarray:
         """All matching doc_ids (ascending)."""
-        return phrase_match(self.reader, phrase, self._pos_cache)
+        return phrase_match(self.reader, phrase)
 
     def boolean(self, op: str, left, right, k: int = 10):
         """SE1-SE3 set algebra over two phrases

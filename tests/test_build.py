@@ -188,6 +188,13 @@ def test_positions_disabled(ray_session, small_corpus, tmp_path):
     cfg = IndexConfig(with_positions=False)
     build_index(small_corpus, str(out), cfg, merge_concurrency=2)
     from rayse.query.engine import SearchEngine
+    from rayse.query.parser import analyze_phrase
     eng = SearchEngine(str(out))
     d, s = eng.search("flazo")
     assert len(d) > 0
+    # positional queries raise a ValueError naming the cause, before any
+    # position is decoded
+    with pytest.raises(ValueError, match="with_positions=False"):
+        eng.search('"rate limit exceeded"')
+    with pytest.raises(ValueError, match="with_positions=False"):
+        eng.sloppy(analyze_phrase("rate limit exceeded"))

@@ -122,3 +122,20 @@ def test_roleless_append_clears_role_flag(built, tmp_path):
     assert load_index_meta(dest)["roles_real"] is False
     with pytest.raises(ValueError, match="role"):
         SearchEngine(dest).search(QUERY, 5, role="user")
+
+
+def test_merge_of_role_and_roleless_indexes(built, tmp_path):
+    """Indexes of one config merge whatever their role flags; the merged
+    index has real roles only when both inputs do, so a role-scoped
+    query on it raises."""
+    src, idx = built
+    bare = str(tmp_path / "bare")
+    build_index(_write(tmp_path / "new", generate_block(
+        30, 34).drop_columns(["role"])), bare)
+    out = str(tmp_path / "merged")
+    merge_indexes(idx, bare, out)
+    assert load_index_meta(out)["roles_real"] is False
+    eng = SearchEngine(out)
+    assert eng.search(QUERY, 5)[0].size
+    with pytest.raises(ValueError, match="role"):
+        eng.search(QUERY, 5, role="user")

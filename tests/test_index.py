@@ -6,12 +6,12 @@ import pytest
 
 from rayse.index.encoding import (
     decode_doc_ids,
-    decode_positions,
     decode_varints,
     encode_doc_ids,
     encode_positions,
     encode_varints,
 )
+from rayse.index.segments import DecodedPostings
 from rayse.stages.doc_ids import doc_id_of, part_of
 
 
@@ -38,9 +38,17 @@ def test_positions_roundtrip():
                np.array([5], dtype=np.uint64),
                np.array([1, 2, 3, 4, 500], dtype=np.uint64)]
     blob = encode_positions(per_doc)
-    out = decode_positions(blob, 3)
+    tfs = np.array([p.size for p in per_doc], dtype=np.uint64)
+    e = np.empty(0, np.uint64)
+    pl = DecodedPostings(np.arange(3, dtype=np.uint64), tfs, tfs, blob,
+                         e, e, e, e)
+    out = pl.positions()
+    assert len(out) == len(per_doc)
     for a, b in zip(per_doc, out):
-        assert (a == b).all()
+        assert a.tolist() == b.tolist()
+    flat, counts = pl.positions_at(np.array([2, 0]))
+    assert counts.tolist() == [5, 3]
+    assert flat.tolist() == [1, 2, 3, 4, 500, 0, 3, 9]
 
 
 def test_doc_ids_stable():

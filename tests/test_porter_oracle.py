@@ -481,7 +481,7 @@ def test_terms_with_suffix_expansions(porter_index):
     all_terms = sorted(r.all_terms()) if hasattr(r, "all_terms") else None
     vocab = set()
     for p in r.parts:
-        vocab.update(p.terms())
+        vocab.update(p.sorted_terms())
     for s in ["ow", "er", "n", "rt", "zz", ""]:
         want = sorted(t for t in vocab if t.endswith(s))
         assert r.terms_with_suffix(s) == want
@@ -673,7 +673,7 @@ def test_porter_sloppy_matches_duckdb(porter_index, con):
     from rayse.ops.porter_oracle import (porter_phrase_matches,
                                          porter_sloppy_sql,
                                          porter_sloppy_topk)
-    from rayse.query.engine import SearchEngine, sloppy_match, _PosCache
+    from rayse.query.engine import SearchEngine, sloppy_match
     from rayse.ops.porter_oracle import _analyzed_seq, PORTER_PHRASES
 
     got = porter_sloppy_topk(porter_index)
@@ -686,10 +686,8 @@ def test_porter_sloppy_matches_duckdb(porter_index, con):
         seq = _analyzed_seq(p)
         terms = list(dict.fromkeys(seq))
         from rayse.query.engine import phrase_match
-        exact = set(phrase_match(eng.reader, seq,
-                                 eng._pos_cache).tolist())
-        slop = set(sloppy_match(eng.reader, terms, 4,
-                                eng._pos_cache).tolist())
+        exact = set(phrase_match(eng.reader, seq).tolist())
+        slop = set(sloppy_match(eng.reader, terms, 4).tolist())
         assert exact <= slop
         assert len(slop) >= len(exact)
 

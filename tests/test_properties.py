@@ -2,6 +2,7 @@
 the pieces every index byte flows through."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,3 +188,144 @@ def test_merge_rejects_repeated_posting():
     tbl = pa.Table.from_pylist([row, row], schema=MERGE_SCHEMA)
     with pytest.raises(ValueError, match="doc_id 5 appears twice"):
         merge_segment_rows(tbl, 1.0, IndexConfig())
+
+
+# -- on-demand position decode -----------------------------------------------
+
+_posting_positions = st.lists(
+    st.lists(st.integers(min_value=0, max_value=2**20), min_size=1,
+             max_size=6, unique=True).map(sorted),
+    min_size=1, max_size=25)
+
+
+def _postings_of(per_posting) -> "DecodedPostings":
+    """A DecodedPostings holding ``per_posting`` position lists (doc ids
+    0..n-1, tf = list length, blocks of two postings), positions via
+    ``encode_positions``."""
+    from rayse.index.encoding import encode_positions
+    from rayse.index.segments import DecodedPostings
+
+    tfs = np.asarray([len(p) for p in per_posting], dtype=np.uint64)
+    e = np.empty(0, np.uint64)
+    return DecodedPostings(
+        np.arange(len(per_posting), dtype=np.uint64), tfs, tfs,
+        encode_positions([np.asarray(p, np.uint64) for p in per_posting]),
+        e, e, np.arange(0, len(per_posting), 2),
+        np.zeros(len(per_posting), np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_posting_positions, min_size=1, max_size=3), st.data())
+def test_positions_at_property(parts, data):
+    """``positions_at(take)`` over lists concatenated across parts (as
+    ``IndexReader.merged`` does) equals the ``encode_positions`` input of
+    the taken postings, for any ascending take: empty, one posting or
+    many, with positions above 127 (multi-byte varints)."""
+    from rayse.index.segments import concat_postings
+
+    pls = [_postings_of(p) for p in parts]
+    offset = 0
+    for pl in pls:                     # ascending, disjoint doc ranges
+        pl.doc_ids += np.uint64(offset)
+        offset += pl.doc_ids.size
+    pl = concat_postings(pls)
+    flat_in = [p for part in parts for p in part]
+    n = len(flat_in)
+    take = sorted(data.draw(st.one_of(
+        st.just([]), st.integers(0, n - 1).map(lambda i: [i]),
+        st.lists(st.integers(0, n - 1), unique=True))))
+    got, counts = pl.positions_at(np.asarray(take, dtype=np.int64))
+    assert got.dtype == np.uint64
+    assert counts.tolist() == [len(flat_in[i]) for i in take]
+    assert got.tolist() == [x for i in take for x in flat_in[i]]
+    assert [p.tolist() for p in pl.positions()] == flat_in
+    starts = [0] + np.cumsum([len(p) for p in parts]).tolist()
+    assert pl.block_starts.tolist() == [
+        s + b for s, p in zip(starts, parts) for b in range(0, len(p), 2)]
+
+
+@pytest.fixture(scope="module")
+def split_engine(ray_session, corpus_dir, tmp_path_factory):
+    """The session corpus built with 32 parts and rows of at most 8
+    postings: hot terms split into many rows and span several parts."""
+    from rayse.config import IndexConfig
+    from rayse.pipelines.build_index import build_index
+    from rayse.query.engine import SearchEngine
+
+    d = str(tmp_path_factory.mktemp("split_index"))
+    build_index(corpus_dir, d, IndexConfig(part_bits=5,
+                                           compact_max_postings=8),
+                merge_concurrency=2)
+    return SearchEngine(d)
+
+
+def _split_terms(eng, oracle):
+    """Terms whose lists span several parts or several rows, the most
+    frequent first."""
+    by_df = sorted(oracle.postings, key=lambda t: (-oracle.df(t), t))
+    return [t for t in by_df if oracle.df(t) > 8
+            and sum(p.df(t) > 0 for p in eng.reader.parts) > 1]
+
+
+def test_positions_at_on_split_rows(split_engine, oracle):
+    """On split rows and multi-part lists, ``positions_at`` decodes each
+    taken posting's positions as the oracle index holds them."""
+    terms = _split_terms(split_engine, oracle)
+    assert len(terms) > 20
+    rng = np.random.default_rng(3)
+    for t in terms[:40]:
+        pl = split_engine.reader.merged(t)
+        want = oracle.postings[t]
+        docs = pl.doc_ids.tolist()
+        assert docs == sorted(want)
+        take = np.flatnonzero(rng.random(len(docs)) < 0.3)
+        got, counts = pl.positions_at(take)
+        assert counts.tolist() == [len(want[docs[i]]) for i in take]
+        assert got.tolist() == [p for i in take for p in want[docs[i]]]
+
+
+def _sloppy_ref(oracle, terms, slop: int) -> list[int]:
+    """Docs holding every term with each pair of terms within ``slop``
+    positions of each other somewhere, by brute force."""
+    sets = [set(oracle.postings.get(t, {})) for t in terms]
+    out = []
+    for d in sorted(set.intersection(*sets)):
+        pos = [oracle.postings[t][d] for t in terms]
+        if all(min(abs(x - y) for x in pos[a] for y in pos[b]) <= slop
+               for a in range(len(terms)) for b in range(a + 1, len(terms))):
+            out.append(d)
+    return out
+
+
+def test_phrase_and_sloppy_on_split_rows(split_engine, oracle):
+    """Phrase and sloppy answers over split rows and multi-part merges
+    equal the oracle's, for two- and three-term phrases taken from the
+    corpus and for their reversals."""
+    from rayse.query.engine import sloppy_match
+
+    split = set(_split_terms(split_engine, oracle))
+    docs = sorted({d for t in split for d in oracle.postings[t]})[:40]
+    streams: dict[int, list[tuple[int, str]]] = {d: [] for d in docs}
+    for t, by_doc in oracle.postings.items():
+        for d in streams.keys() & by_doc.keys():
+            streams[d].extend((p, t) for p in by_doc[d])
+    # two- and three-term phrases of the corpus with a split term in them
+    phrases = set()
+    for d in docs:
+        seq = [t for _, t in sorted(streams[d])]
+        phrases.update(tuple(seq[i:i + n]) for n in (2, 3)
+                       for i in range(len(seq) - n + 1)
+                       if split & set(seq[i:i + n]))
+    phrases = sorted(phrases)[::7][:40]
+    phrases += [p[::-1] for p in phrases[:10]]
+    n_hit = 0
+    for p in phrases:
+        want = oracle.phrase_docs(list(p))
+        got = split_engine.phrase_docs(list(p)).tolist()
+        assert got == want, p
+        n_hit += bool(want)
+        distinct = list(dict.fromkeys(p))
+        for slop in (0, 3):
+            got = sloppy_match(split_engine.reader, distinct, slop).tolist()
+            assert got == _sloppy_ref(oracle, distinct, slop), (p, slop)
+    assert n_hit > 5
