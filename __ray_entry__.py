@@ -69,21 +69,6 @@ def _engine_for(sf_dir: str):
     return SearchEngine(_index_for(sf_dir))
 
 
-def _ws_index_for(sf_dir: str) -> str:
-    """Whitespace-analyzer index over the same derived transcripts — the
-    SQL-checkable ranked-retrieval path (rayse.ops.ws_search)."""
-    from rayse.config import IndexConfig
-    from rayse.pipelines.build_index import build_index
-
-    _index_for(sf_dir)              # ensures transcripts exist (cached)
-    key = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    root = os.path.join(_CACHE_ROOT, key)
-    tdir = os.path.join(root, "transcripts")
-    idir = os.path.join(root, "index_ws")
-    build_index(tdir, idir, IndexConfig(analyzer="whitespace"))
-    return idir
-
-
 def _topk_table(engine, queries: list[str], k: int = 10) -> pa.Table:
     rows_q, rows_r, rows_d, rows_s = [], [], [], []
     for q in queries:
@@ -460,47 +445,6 @@ def _q_role_filtered_topk(sf_dir: str) -> pa.Table:
     })
 
 
-def _q_ws_bm25_topk(sf_dir: str) -> pa.Table:
-    """Ranked BM25 retrieval end-to-end through the REAL index pipeline
-    (whitespace analyzer -> tokenize combiner -> partitioned runs ->
-    per-part merge -> exhaustive scoring) — DuckDB hash-matched."""
-    from rayse.ops.ws_search import ws_bm25_topk
-
-    return ws_bm25_topk(_ws_index_for(sf_dir))
-
-
-def _q_ws_phrase_matches(sf_dir: str) -> pa.Table:
-    """Positional phrase matching (J6 adjacency) over the whitespace index
-    — DuckDB hash-matched via the padded-substring equivalence."""
-    from rayse.ops.ws_search import ws_phrase_matches
-
-    return ws_phrase_matches(_ws_index_for(sf_dir))
-
-
-def _q_ws_term_stats(sf_dir: str) -> pa.Table:
-    """Global term dictionary over the whitespace index (A1-A3 under a
-    DuckDB oracle)."""
-    from rayse.ops.ws_search import ws_term_stats
-
-    return ws_term_stats(_ws_index_for(sf_dir))
-
-
-def _q_ws_boolean_topk(sf_dir: str) -> pa.Table:
-    """Boolean AND/OR/NOT set algebra over positional phrase matches with
-    BM25 scoring (SE1-SE3 through the real index) — DuckDB hash-matched."""
-    from rayse.ops.ws_search import ws_boolean_topk
-
-    return ws_boolean_topk(_ws_index_for(sf_dir))
-
-
-def _q_ws_fallback_topk(sf_dir: str) -> pa.Table:
-    """A8 retrieval ladder (all -> half -> any) through the real index,
-    tier choice and ranking both DuckDB hash-matched."""
-    from rayse.ops.ws_search import ws_fallback_topk
-
-    return ws_fallback_topk(_ws_index_for(sf_dir))
-
-
 def _q_porter_bm25_topk(sf_dir: str) -> pa.Table:
     """The FLAGSHIP Porter-analyzer BM25 ranking under a DIRECT DuckDB
     oracle: the closed corpus vocabulary makes the analyzer chain
@@ -774,16 +718,6 @@ def _q_cube_agg(sf_dir: str) -> pa.Table:
     from rayse.ops.rollup import cube_agg
 
     return cube_agg(sf_dir)
-
-
-def _q_rrf_fusion(sf_dir: str) -> pa.Table:
-    """Hybrid retrieval: integer reciprocal-rank fusion (Cormack et al.
-    2009) of the Porter and whitespace engines' BM25 lists — DuckDB
-    hash-matched against both systems' composed oracles. Also the `rrf`
-    arm of ``ws_rank_matrix`` inside the driver window."""
-    from rayse.ops.fusion import rrf_fusion
-
-    return rrf_fusion(_index_for(sf_dir), _ws_index_for(sf_dir))
 
 
 def _q_porter_prf_topk(sf_dir: str) -> pa.Table:
@@ -1151,22 +1085,6 @@ def _q_sketch_suite(sf_dir: str) -> pa.Table:
     return sketch_suite(sf_dir)
 
 
-def _q_ws_proximity_topk(sf_dir: str) -> pa.Table:
-    """A11 proximity-boosted ranking (tiered min-pairwise-distance bonus
-    from index positions + BM25) — DuckDB hash-matched."""
-    from rayse.ops.ws_search import ws_proximity_topk
-
-    return ws_proximity_topk(_ws_index_for(sf_dir))
-
-
-def _q_ws_role_topk(sf_dir: str) -> pa.Table:
-    """Role-scoped BM25 from per-posting role codes (M6) — DuckDB
-    hash-matched (assistant turns are the odd turn_idx by derivation)."""
-    from rayse.ops.ws_search import ws_bm25_topk
-
-    return ws_bm25_topk(_ws_index_for(sf_dir), role="assistant")
-
-
 def _q_porter_rank_matrix(sf_dir: str) -> pa.Table:
     """EVERY ranked retrieval mode of the real Porter engine (exhaustive
     BM25 / WAND / actor-pool cluster / role filter / role boost / boolean
@@ -1519,32 +1437,16 @@ def _q_semdedup_keep(sf_dir: str):
     return semdedup_keep(sf_dir)
 
 
-def _q_ws_rank_matrix(sf_dir: str) -> pa.Table:
-    """Every ranked retrieval mode of the whitespace-index pipeline (BM25
-    / role-scoped / boolean / fallback ladder / proximity boost) plus
-    the hybrid RRF fusion retriever (ws BM25 x Porter BM25) as one
-    variant-tagged table — 6 paths DuckDB hash-matched in one window
-    slot. Individual entries remain below the window; each pinned at
-    sf0.001 by tests/test_ws_search.py and tests/test_fusion.py."""
-    from rayse.ops.ws_search import ws_rank_matrix
-
-    return ws_rank_matrix(_ws_index_for(sf_dir),
-                          porter_dir=_index_for(sf_dir))
-
-
 def _q_phrase_matches_suite(sf_dir: str) -> pa.Table:
-    """J6 positional phrase verification through BOTH analyzer pipelines
-    (Porter flagship + whitespace) + the percolator's standing-query
-    reverse search over the raw turn stream (no index), tagged — one
-    window slot."""
+    """J6 positional phrase verification through the Porter index + the
+    percolator's standing-query reverse search over the raw turn stream
+    (no index), tagged — one window slot."""
     from rayse.ops.porter_oracle import porter_phrase_matches
-    from rayse.ops.ws_search import ws_phrase_matches
 
     pc_t = _as_table(_q_percolate(sf_dir)).rename_columns(
         ["phrase", "conv_id", "turn_idx"])
     return _tagged_union([
         ("porter", porter_phrase_matches(_index_for(sf_dir))),
-        ("ws", ws_phrase_matches(_ws_index_for(sf_dir))),
         ("percolate", pc_t)])
 
 
@@ -1565,12 +1467,10 @@ def _q_percolate(sf_dir: str):
 
 
 def _q_term_stats_suite(sf_dir: str) -> pa.Table:
-    """A1-A3 global term dictionary from BOTH indexes (stemmed Porter +
-    whitespace), tagged — one window slot — plus the index-maintenance
-    dictionary diff (full index vs its delete+compacted variant) melted
+    """A1-A3 global term dictionary of the Porter index, tagged — one
+    window slot — plus the index-maintenance dictionary diff (full index vs its delete+compacted variant) melted
     to signed (df, cf) deltas."""
     from rayse.ops.porter_oracle import porter_term_stats
-    from rayse.ops.ws_search import ws_term_stats
 
     d = _as_table(_q_index_diff(sf_dir))
     delta = pa.table({
@@ -1599,7 +1499,6 @@ def _q_term_stats_suite(sf_dir: str) -> pa.Table:
             "cf": pc.cast(src[col], pa.int64())}))
     return _tagged_union([
         ("porter", porter_term_stats(_index_for(sf_dir))),
-        ("ws", ws_term_stats(_ws_index_for(sf_dir))),
         ("diffdelta", delta),
         ("hh", _as_table(_q_frequent_words(sf_dir)).rename_columns(
             ["term", "df", "cf"])),
@@ -3118,8 +3017,7 @@ def _q_quantile_suite(sf_dir: str) -> pa.Table:
     histogram with driver fold (corpus token counts), the grouped
     in-partition quantile fold (per-type event values), the grouped
     integer co-moment correlation, the row-level z-score
-    standardization, the integer rank-eval metrics (DCG/IDCG/MRR),
-    the pairwise audience-overlap matrix, the grouped OLS regression
+    standardization, the pairwise audience-overlap matrix, the grouped OLS regression
     (shared co-moment fold), the per-column dataset profile, the
     bounded-domain percentile ranks, the per-term BM25 score
     explanation, the integer Gram-matrix PCA projection, and the
@@ -3141,13 +3039,6 @@ def _q_quantile_suite(sf_dir: str) -> pa.Table:
         "key": co["event_type"],
         "p_label": pa.array(["r"] * co.num_rows, pa.string()),
         "v": co["r_q"]})
-    re = _as_table(_q_rank_eval(sf_dir))
-    rparts = []
-    for m in ("dcg_q", "idcg_q", "first_rel_rank", "mrr_q"):
-        rparts.append(pa.table({
-            "key": re["query"],
-            "p_label": pa.array([m] * re.num_rows, pa.string()),
-            "v": re[m]}))
     zs = _as_table(_q_value_zscores(sf_dir))
     zs = pa.table({
         "key": pc.cast(zs["event_id"], pa.string()),
@@ -3261,7 +3152,6 @@ def _q_quantile_suite(sf_dir: str) -> pa.Table:
                           ("checks", pa.concat_tables(dcparts)),
                           ("mix", pa.concat_tables(mxparts)),
                           ("corr", co),
-                          ("rankeval", pa.concat_tables(rparts)),
                           ("zscore", zs),
                           ("cohort", pa.concat_tables(chparts)),
                           ("ols", pa.concat_tables(oparts)),
@@ -3462,16 +3352,6 @@ def _q_value_zscores(sf_dir: str) -> pa.Table:
     from rayse.ops.corr import value_zscores
 
     return value_zscores(sf_dir)
-
-
-def _q_rank_eval(sf_dir: str) -> pa.Table:
-    """Offline rank evaluation (Lucene rank-eval analog): integer
-    DCG/IDCG via a precomputed discount table + MRR of the whitespace
-    engine against Porter-derived graded judgments — DuckDB
-    hash-matched against both composed retrieval oracles."""
-    from rayse.ops.rankeval import rank_eval
-
-    return rank_eval(_index_for(sf_dir), _ws_index_for(sf_dir))
 
 
 def _q_corr_value_hour(sf_dir: str) -> pa.Table:
@@ -3716,16 +3596,6 @@ def _q_hourly_autocorr(sf_dir: str) -> pa.Table:
     from rayse.ops.bursts import hourly_autocorr
 
     return hourly_autocorr(sf_dir)
-
-
-def _q_rbo_agreement(sf_dir: str) -> pa.Table:
-    """(query, inter_k, rbo_q): truncated rank-biased overlap (Webber
-    et al. 2010) between the Porter and whitespace BM25 top-10 lists —
-    exact-rational weights, DuckDB hash-matched against both engines'
-    composed oracles."""
-    from rayse.ops.fusion import rbo_agreement
-
-    return rbo_agreement(_index_for(sf_dir), _ws_index_for(sf_dir))
 
 
 def _q_qpp_post(sf_dir: str) -> pa.Table:
@@ -4572,9 +4442,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     DISTINCT oracle-backed machinery exactly once. Same-shape variant
     families are hash-checked through single variant-tagged suite
     entries: ``porter_rank_matrix`` (28 ranked Porter engine paths),
-    ``ws_rank_matrix`` (5 ranked whitespace-index paths + the hybrid
-    RRF fusion arm), ``ann_exact_suite`` (3 exact ANN paths),
-    ``phrase_matches_suite`` / ``term_stats_suite`` (both analyzers),
+    ``ann_exact_suite`` (3 exact ANN paths),
+    ``phrase_matches_suite`` / ``term_stats_suite`` (Porter index +
+    percolator / dictionary diff, heavy hitters, storage plan),
     ``sampling_suite`` (3 sampling machineries), ``cluster_suite``
     (k-means + SemDeDup), ``join_suite`` (as-of + range),
     ``pagerank_fixed_suite`` (dense + sharded + HITS + TextRank). The
@@ -4608,8 +4478,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dictionary_suite": _q_dictionary_suite,
         "porter_facets": _q_porter_facets,
         "porter_mmr_topk": _q_porter_mmr_topk,
-        # both-analyzer suites: ranked ws modes, phrase, term dictionary
-        "ws_rank_matrix": _q_ws_rank_matrix,
+        # phrase and term-dictionary suites
         "phrase_matches_suite": _q_phrase_matches_suite,
         "term_stats_suite": _q_term_stats_suite,
         # cleaning / sampling / joins / clustering / graph
@@ -4691,7 +4560,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kn_bigram_nll": _q_kn_bigram_nll,
         "exact_distinct": _q_exact_distinct,
         "corr_value_hour": _q_corr_value_hour,
-        "rank_eval": _q_rank_eval,
         "value_zscores": _q_value_zscores,
         "query_analysis": _q_query_analysis,
         "ann_sq_topk": _q_ann_sq_topk,
@@ -4846,7 +4714,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "er_components": _q_er_components,
         "editdist_pairs": _q_editdist_pairs,
         "hourly_autocorr": _q_hourly_autocorr,
-        "rbo_agreement": _q_rbo_agreement,
         "qpp_post": _q_qpp_post,
         "rake_phrases": _q_rake_phrases,
         "edge_reciprocity": _q_edge_reciprocity,
@@ -4890,7 +4757,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "semdedup_keep": _q_semdedup_keep,
         "asof_join": _q_asof_join,
         "range_join": _q_range_join,
-        "rrf_fusion": _q_rrf_fusion,
         "porter_prf_topk": _q_porter_prf_topk,
         "porter_suffix_topk": _q_porter_suffix_topk,
         "porter_msm_topk": _q_porter_msm_topk,
@@ -4916,13 +4782,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # and legacy rows-only entries superseded by hash-green siblings.
         "porter_phrase_matches": _q_porter_phrase_matches,
         "porter_term_stats": _q_porter_term_stats,
-        "ws_bm25_topk": _q_ws_bm25_topk,
-        "ws_phrase_matches": _q_ws_phrase_matches,
-        "ws_term_stats": _q_ws_term_stats,
-        "ws_boolean_topk": _q_ws_boolean_topk,
-        "ws_fallback_topk": _q_ws_fallback_topk,
-        "ws_proximity_topk": _q_ws_proximity_topk,
-        "ws_role_topk": _q_ws_role_topk,
         "hash_sample": _q_hash_sample,
         "stratified_sample": _q_stratified_sample,
         "quota_sample": _q_quota_sample,
@@ -5120,8 +4979,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.sketch", fromlist=["x"]).exact_distinct_sql(),
         "corr_value_hour": __import__(
             "rayse.ops.corr", fromlist=["x"]).CORR_VALUE_HOUR_SQL,
-        "rank_eval": __import__(
-            "rayse.ops.rankeval", fromlist=["x"]).rank_eval_sql(),
         "value_zscores": __import__(
             "rayse.ops.corr", fromlist=["x"]).VALUE_ZSCORES_SQL,
         "query_analysis": __import__(
@@ -5598,12 +5455,6 @@ def oracle_sql() -> dict[str, str]:
                 __import__("rayse.ops.sampling",
                            fromlist=["x"]).source_mix_weights_sql())
                for m in ("n_tokens", "w_ppm")]
-            + [("rankeval",
-                f"query AS key, '{m}' AS p_label, {m} AS v",
-                __import__("rayse.ops.rankeval",
-                           fromlist=["x"]).rank_eval_sql())
-               for m in ("dcg_q", "idcg_q", "first_rel_rank",
-                         "mrr_q")]
             + [("zscore",
                 "CAST(event_id AS VARCHAR) AS key, 'z' AS p_label, "
                 "z_q AS v",
@@ -5703,26 +5554,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.textstats", fromlist=["x"]).redact_pii_sql(),
         "mixture_epochs": __import__(
             "rayse.ops.sampling", fromlist=["x"]).mixture_epochs_sql(),
-        "ws_bm25_topk": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_bm25_sql(),
-        "ws_phrase_matches": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_phrase_sql(),
-        "ws_boolean_topk": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_boolean_sql(),
-        "ws_fallback_topk": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_fallback_sql(),
-        "ws_proximity_topk": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_proximity_sql(),
-        "ws_term_stats": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_term_stats_sql(),
-        "ws_role_topk": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_bm25_sql(
-                assistant_only=True),
-        "ws_rank_matrix": __import__(
-            "rayse.ops.ws_search", fromlist=["x"]).ws_rank_matrix_sql(
-                include_rrf=True),
-        "rrf_fusion": __import__(
-            "rayse.ops.fusion", fromlist=["x"]).rrf_fusion_sql(),
         "porter_prf_topk": __import__(
             "rayse.ops.porter_oracle", fromlist=["x"]).porter_prf_sql(),
         "porter_searchafter_topk": __import__(
@@ -5830,8 +5661,6 @@ def oracle_sql() -> dict[str, str]:
             ("porter", "phrase, conv_id, turn_idx", __import__(
                 "rayse.ops.porter_oracle",
                 fromlist=["x"]).porter_phrase_sql()),
-            ("ws", "phrase, conv_id, turn_idx", __import__(
-                "rayse.ops.ws_search", fromlist=["x"]).ws_phrase_sql()),
             ("percolate", "query_id AS phrase, conv_id, turn_idx",
              __import__("rayse.ops.percolate",
                         fromlist=["x"]).percolate_sql())]),
@@ -5839,8 +5668,6 @@ def oracle_sql() -> dict[str, str]:
             ("porter", "term, df, cf", __import__(
                 "rayse.ops.porter_oracle",
                 fromlist=["x"]).porter_term_stats_sql()),
-            ("ws", "term, df, cf", __import__(
-                "rayse.ops.ws_search", fromlist=["x"]).ws_term_stats_sql()),
             ("diffdelta", "term, df_b - df_a AS df, cf_b - cf_a AS cf",
              __import__("rayse.ops.indexdiff",
                         fromlist=["x"]).index_diff_sql()),
@@ -6121,8 +5948,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.editdist", fromlist=["x"]).editdist_pairs_sql(),
         "hourly_autocorr": __import__(
             "rayse.ops.bursts", fromlist=["x"]).hourly_autocorr_sql(),
-        "rbo_agreement": __import__(
-            "rayse.ops.fusion", fromlist=["x"]).rbo_agreement_sql(),
         "qpp_post": __import__(
             "rayse.ops.qpp", fromlist=["x"]).qpp_post_sql(),
         "rake_phrases": __import__(

@@ -27,7 +27,7 @@ from .stopwords import STOPWORDS
 from .tokenizer import tokenize
 
 __all__ = ["tokenize", "porter_stem", "STOPWORDS", "analyze", "analyze_ids",
-           "analyze_ids_ws", "term_string", "term_strings"]
+           "term_string", "term_strings"]
 
 # token -> stemmed token, or None if the token is filtered out
 _CACHE: dict = {}
@@ -92,32 +92,6 @@ def analyze_ids(text: str) -> List[int]:
             cache[token] = tid
         if tid >= 0:
             append(tid)
-    return out
-
-
-_WS_ID_CACHE: dict = {}     # raw token -> id (no stem/stop/length filter)
-
-
-def analyze_ids_ws(text: str) -> List[int]:
-    """WHITESPACE analyzer (SQL-oracle-matchable): the token stream is
-    exactly ``text.split(" ")`` — empties included, no stopword/length
-    filter, no stemming — so dl == DuckDB ``len(string_split(text, ' '))``
-    and tf/df match a plain SQL groupby. Shares the intern pool with the
-    Porter chain (term_string works for both)."""
-    cache = _WS_ID_CACHE
-    if len(cache) > _CACHE_MAX:
-        cache.clear()
-    out: List[int] = []
-    append = out.append
-    for token in (text or "").split(" "):
-        tid = cache.get(token)
-        if tid is None:
-            tid = _STEM_IDS.get(token)
-            if tid is None:
-                tid = _STEM_IDS[token] = len(_ID_STRINGS)
-                _ID_STRINGS.append(token)
-            cache[token] = tid
-        append(tid)
     return out
 
 

@@ -32,10 +32,6 @@ class IndexConfig:
     compact_max_postings: int = 1 << 20
     block_size: int = 128          # postings per block-max block
     with_positions: bool = True    # store positional postings (phrase queries)
-    # "porter" = reference-parity chain (tokenize -> stopwords -> Porter);
-    # "whitespace" = text.split(" ") verbatim — SQL-oracle-matchable, used
-    # by the DuckDB-green ranked-retrieval queries (rayse.ops.ws_search)
-    analyzer: str = "porter"
     # M2 parity hook: run the reference HTML cleaning chain
     # (`PreIndexer.java:48-75`, rayse.ops.htmlclean) over `text` before
     # tokenizing — off for plain-text transcripts (cleaner is then a

@@ -161,7 +161,7 @@ def _drop_stale_parts(out_dir: str, written) -> None:
 # shard-built indexes merge part-wise into a single index that ranks
 # IDENTICALLY to a fresh build over the union corpus).
 #
-# Preconditions (checked): the same IndexConfig (analyzer/bm25/
+# Preconditions (checked): the same IndexConfig (bm25/
 # block_size/part_bits/positions), disjoint conversation sets (any shared
 # conv hash raises — the caller owns corpus partitioning). The role flag
 # may differ: the merged index has real roles only when both inputs do,

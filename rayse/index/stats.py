@@ -30,7 +30,7 @@ import pyarrow as pa
 
 # Version of the on-disk layout this code writes and reads: bump it with
 # every change to the files of an index.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 META_FILE = "index_meta.json"
 
 

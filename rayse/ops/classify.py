@@ -519,10 +519,9 @@ GROUP BY r.s, ts.t_s, v.v"""
 
 # ---------------------------------------------------------------------------
 # Classifier evaluation — confusion cells and margin-bucket calibration
-# in ONE grouped fold (the model-eval companion of rank_eval's IR
-# metrics): per (true label, predicted label, margin bucket) the doc
-# count, where bucket = bit_length(margin_q) (0 for margin 0) — an
-# integer log2 ladder both engines compute exactly.
+# in ONE grouped fold: per (true label, predicted label, margin bucket)
+# the doc count, where bucket = bit_length(margin_q) (0 for margin 0) —
+# an integer log2 ladder both engines compute exactly.
 # ---------------------------------------------------------------------------
 
 

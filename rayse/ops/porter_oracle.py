@@ -1,14 +1,11 @@
 """Full Porter-analyzer retrieval under DuckDB oracles — the flagship path.
 
-Rounds 1-2 closed the flagship's oracle gap indirectly: the whitespace
-variants (``rayse.ops.ws_search``) run the same build/merge/score pipeline
-under SQL oracles, while the Porter chain itself stayed rows-only. This
-module closes it DIRECTLY: the synthetic corpus draws from a CLOSED
-31-word vocabulary (identical at sf0.001/0.01/0.1), so the Porter analyzer
-chain — regex tokenize (`PreIndexer.java:93-163` semantics) -> length/
-stopword filter (`PreIndexer.java:41-46`) -> Porter stem
-(`PreIndexer.java:165-178`) — is fully enumerable as a (word -> stem)
-mapping computed by the PRODUCTION analyzer and embedded as a VALUES CTE.
+The synthetic corpus draws from a CLOSED 31-word vocabulary (identical
+at sf0.001/0.01/0.1), so the Porter analyzer chain — regex tokenize
+(`PreIndexer.java:93-163` semantics) -> length/stopword filter
+(`PreIndexer.java:41-46`) -> Porter stem (`PreIndexer.java:165-178`) —
+is fully enumerable as a (word -> stem) mapping computed by the
+PRODUCTION analyzer and embedded as a VALUES CTE.
 On this corpus ``tokenize(text) == text.split(' ')`` (plain lowercase
 words, single spaces — pinned by test), so ``string_split`` + the mapping
 join reproduces the analyzed token stream exactly, and ranked BM25,
@@ -19,8 +16,14 @@ Failure mode is loud, never silent: an out-of-vocabulary word in the data
 is indexed by the engine but dropped by the oracle's inner join, so the
 driver records a hash mismatch instead of a false pass.
 
-Score quantization follows the ws recipe: both sides rank by
-``floor(score * 1e7)`` with (conv_id, turn_idx) tie-breaks.
+Score quantization: both sides rank by ``floor(score * 1e7)`` (int64)
+with (conv_id, turn_idx) tie-breaks, so float summation-order noise
+(~1e-14) cannot flip ranks except exactly on a quantization boundary.
+
+The transcripts table is derived from ``documents`` by
+`rayse.pipelines.transcripts` (40-word turns, ``conv-%09d`` ids,
+user/assistant alternating) and the derivation is replicated byte-exactly
+by the ``turns`` CTE below.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from ..index.segments import bm25_tf
 from ..config import BM25Params
 from ..pipelines.hydrate import resolve_conv_ids
 from ..stages.doc_ids import TURN_BITS, conv_hash
-from .ws_search import _TURNS_CTE
 
 # The generator's closed word list (every sf dir; pinned by
 # tests/test_porter_oracle.py::test_vocab_closure).
@@ -92,8 +94,6 @@ def _stem_map() -> list[tuple[str, str]]:
 
 def _porter_reader(index_dir: str) -> tuple[IndexReader, BM25Params]:
     reader = IndexReader(index_dir)
-    if reader.meta["analyzer"] != "porter":
-        raise ValueError(f"{index_dir} is not a porter-analyzer index")
     return reader, BM25Params(**reader.meta["bm25"])
 
 
@@ -119,6 +119,25 @@ def _ranked_rows(index_dir: str, docs, score_q, k: int):
 # SQL building blocks
 # ---------------------------------------------------------------------------
 
+def turns_cte(doc_filter: str = "") -> str:
+    """The transcripts derivation as a CTE chunk; ``doc_filter`` is an
+    optional SQL boolean over ``doc_id`` (corpus-subset oracles, e.g.
+    the delete+compact arm)."""
+    where = f" WHERE {doc_filter}" if doc_filter else ""
+    return f"""
+words AS (SELECT doc_id, string_split(text, ' ') AS w FROM documents{where}),
+turns AS (
+  SELECT 'conv-' || lpad(CAST(doc_id AS VARCHAR), 9, '0') AS conv_id,
+         CAST(u.t AS INTEGER) AS turn_idx,
+         array_to_string(list_slice(w, u.t*40 + 1, u.t*40 + 40), ' ') AS text
+  FROM words,
+       UNNEST(range(CAST(greatest(1, ceil(len(w) / 40.0)) AS BIGINT)))
+         AS u(t))"""
+
+
+_TURNS_CTE = turns_cte()
+
+
 def _analysis_ctes(doc_filter: str = "") -> str:
     """turns -> raw word positions -> analyzer map join -> tf/df/dl/stats.
 
@@ -127,8 +146,6 @@ def _analysis_ctes(doc_filter: str = "") -> str:
     ``total_tokens / n_docs`` float division. ``doc_filter`` restricts
     the corpus (SQL boolean over doc_id) — corpus-subset oracles such as
     the delete+compact arm."""
-    from .ws_search import turns_cte
-
     vals = ", ".join(f"('{w}', '{s}')" for w, s in _stem_map())
     return f"""WITH {turns_cte(doc_filter)},
 stemmap(word, stem) AS (VALUES {vals}),
@@ -203,7 +220,8 @@ def porter_phrase_sql(phrases: list[str] | None = None) -> str:
     """DuckDB oracle for ``porter_phrase_matches``. Positions are indices
     in the FILTERED+STEMMED stream (`rayse.analyzer` docstring), so
     adjacency there == adjacency in the single-space re-join of the kept
-    stems — the ws padded-substring equivalence applied post-analysis."""
+    stems: a padded-substring match over that re-join is the phrase
+    test."""
     phrases = phrases if phrases is not None else PORTER_PHRASES
     vals = ", ".join(f"('{p}', '{' '.join(_analyzed_seq(p))}')"
                      for p in phrases)
@@ -230,9 +248,9 @@ FROM tf JOIN df USING (term) GROUP BY term, df"""
 
 def porter_bm25_topk(index_dir: str, queries: list[str] | None = None,
                      k: int = 10, role: str | None = None) -> pa.Table:
-    """Exhaustive disjunctive BM25 through the Porter index (same
-    union-accumulate shape as ``ws_bm25_topk``; terms from the production
-    analyzer), quantized ranking with (conv_id, turn_idx) tie-breaks.
+    """Exhaustive disjunctive BM25 through the Porter index (per-term
+    postings union-accumulated; terms from the production analyzer),
+    quantized ranking with (conv_id, turn_idx) tie-breaks.
     ``role`` filters postings by the M6 per-posting role code."""
     from ..index.segments import ROLE_CODES
 
@@ -456,8 +474,8 @@ def porter_fallback_topk(index_dir: str, queries: list[str] | None = None,
 
 def porter_fallback_sql(queries: list[str] | None = None,
                         k: int = 10) -> str:
-    """DuckDB oracle for ``porter_fallback_topk`` (the ws_fallback_sql
-    shape with the analyzed stream and Python-analyzed term counts)."""
+    """DuckDB oracle for ``porter_fallback_topk`` over the analyzed
+    stream, with Python-analyzed term counts."""
     queries = queries if queries is not None else PORTER_FALLBACKS
     vals = ", ".join(
         f"('{q}', '{t}')" for q in queries for t in _analyzed(q))

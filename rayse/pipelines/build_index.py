@@ -175,16 +175,14 @@ _TOKENIZE_SINGLETON: dict = {}
 
 def _tokenize_task(batch: pa.Table, *, part_bits: int,
                    with_positions: bool,
-                   remap: dict | None = None,
-                   analyzer: str = "porter") -> pa.Table:
+                   remap: dict | None = None) -> pa.Table:
     """Task-form wrapper: one TokenizeStage instance per worker process."""
-    key = (part_bits, with_positions, analyzer,
+    key = (part_bits, with_positions,
            tuple(sorted(remap.items())) if remap else None)
     stage = _TOKENIZE_SINGLETON.get(key)
     if stage is None:
         stage = _TOKENIZE_SINGLETON[key] = TokenizeStage(
-            part_bits=part_bits, with_positions=with_positions, remap=remap,
-            analyzer=analyzer)
+            part_bits=part_bits, with_positions=with_positions, remap=remap)
     return stage(batch)
 
 
@@ -235,7 +233,7 @@ def build_runs_for_shard(shard_id: int, files: list[str], out_dir: str,
         _tokenize_task,
         fn_kwargs=dict(part_bits=cfg.part_bits,
                        with_positions=cfg.with_positions,
-                       remap=remap, analyzer=cfg.analyzer),
+                       remap=remap),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=TOKENIZE_BATCH_SIZE,

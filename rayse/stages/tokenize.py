@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..analyzer import analyze_ids, analyze_ids_ws, term_strings
+from ..analyzer import analyze_ids, term_strings
 from ..index.encoding import encode_varints_segmented
 from ..index.segments import ROLE_CODES
 from .doc_ids import assign_doc_ids
@@ -80,11 +80,9 @@ class TokenizeStage:
     one batch of turns in, RUNS_SCHEMA combiner output out."""
 
     def __init__(self, part_bits: int = 5, with_positions: bool = True,
-                 remap: dict | None = None, analyzer: str = "porter"):
+                 remap: dict | None = None):
         self.part_bits = part_bits
         self.with_positions = with_positions
-        self.analyze_ids = (analyze_ids_ws if analyzer == "whitespace"
-                            else analyze_ids)
         # conv-hash memo, pre-seeded with the collision exception map
         # (conv_id -> overridden hash) so remapped convs cost nothing extra
         self.conv_cache: dict = dict(remap) if remap else {}
@@ -104,7 +102,7 @@ class TokenizeStage:
         tok_docord: list = []           # per token: position in doc_order
         dls = np.zeros(len(texts), dtype=np.int64)   # by doc_order rank
         n_tok = 0
-        analyze_fn = self.analyze_ids
+        analyze_fn = analyze_ids
         for rank, i in enumerate(doc_order.tolist()):
             text = texts[i]
             ids = analyze_fn(text if text is not None else "")

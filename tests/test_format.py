@@ -65,8 +65,9 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("version", [None, FORMAT_VERSION + 1],
-                         ids=["unversioned", "ahead"])
+@pytest.mark.parametrize(
+    "version", [None, FORMAT_VERSION - 1, FORMAT_VERSION + 1],
+    ids=["unversioned", "behind", "ahead"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_other_format_version_refused(built, tmp_path, entry, version):
     src, idx = built

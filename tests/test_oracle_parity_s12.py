@@ -16,6 +16,9 @@ CASES = [
     "wl_sharded",
     "link_predict_xchg",
     "mis_sharded",
+    # correctness-window suites, pinned whole
+    "phrase_matches_suite",
+    "term_stats_suite",
 ]
 
 

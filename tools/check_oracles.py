@@ -4,7 +4,12 @@ at sf0.01 (override with ORACLE_SF=/root/testdata/sf0.1 to sweep at a
 32-bit packs, count-routing flips), compare rows/schema/values (columns
 sorted by name, rows sorted)."""
 import os, sys, json, hashlib, time
-sys.path.insert(0, "/root/repo")
+# check the code of the checkout this script sits in, in this process and
+# on the Ray workers (which import rayse from PYTHONPATH)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
 import ray, duckdb, pandas as pd, numpy as np, pyarrow as pa
 
 SF = os.environ.get("ORACLE_SF", "/root/testdata/sf0.01")
