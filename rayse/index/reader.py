@@ -4,8 +4,9 @@ Replaces the reference's serving-side RAM index load
 (`Indexer/Service/IndexerService.java:582-740`, static ``CacheHelper``) and
 the per-term PostgreSQL probes (`Query/QueryService.java:441-463`).
 
-A ``PartReader`` holds ONE doc-partition's segment table in memory (Arrow,
-blobs stay compressed; decode is per-term on demand, memoized) and its
+A ``PartReader`` holds ONE doc-partition's segment table in memory (Arrow;
+Parquet pages are decompressed on read, while the varint posting blobs
+stay encoded and are decoded per term on demand, memoized) and its
 term dictionary: one sorted Python list of the distinct terms, looked up
 with ``bisect``, beside numpy arrays of each term's first segment row and
 its summed df and cf. The same list serves prefix, regexp and fuzzy
@@ -17,6 +18,13 @@ distributed serving path gives each actor a PartReader set
 Positions stay compressed in the decoded posting lists: a phrase or
 proximity query decodes the positions of its candidate postings only
 (``DecodedPostings.positions_at``) and keeps none of them.
+
+The open and query path calls no ``to_numpy``, no ``pa.array`` and no
+``pyarrow.dataset`` (``pq.read_table`` goes through it): in pyarrow 16
+each of them imports pandas, which costs a fresh process, such as a new
+serving actor, about 0.1 s. A segment is read with ``pq.ParquetFile``,
+and the term and int64 columns are read from their Arrow buffers
+(``string_values``, ``int64_values``).
 
 Only parts that hold postings have a segment file (``present_parts``); a
 part whose manifest records postings but whose segment is gone is an
@@ -82,6 +90,39 @@ def segment_files(index_dir: str) -> list[str]:
     return files
 
 
+def int64_values(col) -> np.ndarray:
+    """An int64 Arrow column without nulls as a numpy array: a view over
+    the Arrow buffer for one chunk, one copy for several. Each chunk's
+    offset (a sliced array) is honoured."""
+    arrs = [np.frombuffer(c.buffers()[1], dtype=np.int64, count=len(c),
+                          offset=c.offset * 8)
+            for c in col.chunks if len(c)]
+    if len(arrs) == 1:
+        return arrs[0]
+    return np.concatenate(arrs) if arrs else np.empty(0, np.int64)
+
+
+def string_values(col) -> list[str]:
+    """A string (not large_string) Arrow column without nulls as a list,
+    decoded slice by slice from each chunk's offsets and data buffers:
+    about 4x faster than ``to_pylist``. Each chunk's offset is
+    honoured."""
+    out: list[str] = []
+    for c in col.chunks:
+        if not len(c):
+            continue
+        _, offsets, data = c.buffers()
+        o = np.frombuffer(offsets, dtype=np.int32, count=len(c) + 1,
+                          offset=c.offset * 4).tolist()
+        raw = data.to_pybytes()
+        out.extend([raw[a:b].decode() for a, b in zip(o[:-1], o[1:])])
+    return out
+
+
+_POSTING_COLUMNS = ["doc_ids", "tfs", "dls", "roles", "positions",
+                    "block_max", "block_last"]
+
+
 def _edit1(a: str, b: str) -> bool:
     """Levenshtein(a, b) <= 1, specialized: equal; same length with
     exactly one substitution; or length-diff 1 with one deletion."""
@@ -109,21 +150,22 @@ class PartReader:
         # (avgdl'/avgdl) for avgdl' > avgdl, so scaling bounds by
         # max(1, avgdl_now/avgdl_at_merge) keeps block-max pruning exact
         self.bound_scale = bound_scale
-        tbl = pq.read_table(os.path.join(part_dir, SEGMENT_FILE))
+        tbl = pq.ParquetFile(os.path.join(part_dir, SEGMENT_FILE)).read()
         # The term dictionary: segment rows are sorted by (term, salt), so
         # the unique terms in row order are sorted, and term i owns rows
         # [_starts[i], _starts[i + 1]); its df and cf are summed once.
-        rows = tbl["term"].to_numpy(zero_copy_only=False)
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        starts = np.flatnonzero(first)
-        self._terms: list[str] = rows[starts].tolist()
-        self._starts = np.append(starts, rows.size)
-        self._df = np.add.reduceat(tbl["df"].to_numpy(), starts) \
+        rows = string_values(tbl["term"])
+        first = [i for i in range(len(rows))
+                 if i == 0 or rows[i] != rows[i - 1]]
+        self._terms: list[str] = [rows[i] for i in first]
+        starts = np.asarray(first, dtype=np.int64)
+        self._starts = np.append(starts, len(rows))
+        self._df = np.add.reduceat(int64_values(tbl["df"]), starts) \
             if starts.size else np.empty(0, np.int64)
-        self._cf = np.add.reduceat(tbl["cf"].to_numpy(), starts) \
+        self._cf = np.add.reduceat(int64_values(tbl["cf"]), starts) \
             if starts.size else np.empty(0, np.int64)
-        self._tbl = tbl.drop_columns(["term"])
+        # only the columns postings() and doc_term_vector read stay
+        self._tbl = tbl.select(_POSTING_COLUMNS)
         self._cache: dict[str, DecodedPostings] = {}
 
     def _find(self, term: str) -> int:
@@ -146,10 +188,8 @@ class PartReader:
         i = self._find(term)
         if i < 0:
             return None
-        names = ["doc_ids", "tfs", "dls", "roles", "positions", "block_max",
-                 "block_last"]
         rows = [
-            {name: self._tbl[name][r].as_py() for name in names}
+            {name: self._tbl[name][r].as_py() for name in _POSTING_COLUMNS}
             for r in range(int(self._starts[i]), int(self._starts[i + 1]))
         ]
         dec = decode_rows(rows, self.block_size)

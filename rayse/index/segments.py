@@ -110,6 +110,10 @@ class DecodedPostings:
     arrays (strictly increasing; block size = next start - start, blocks of
     consecutive runs are contiguous), enabling exact block skipping.
 
+    ``doc_ids`` is uint64; ``tfs`` and ``dls`` are uint32, so a posting's
+    tf and its document's length must each be at most 2^32 - 1 (a turn of
+    over four billion tokens). ``bm25_tf`` casts both to float64, which
+    holds every uint32 exactly, so scores do not depend on the width.
     ``roles`` is a per-posting uint8 role-code array."""
 
     __slots__ = ("doc_ids", "tfs", "dls", "positions_blob", "block_max",
@@ -171,8 +175,8 @@ def decode_rows(rows: list[dict], block_size: int = 128) -> DecodedPostings:
         off += d.size
     return DecodedPostings(
         np.concatenate(doc_parts),
-        np.concatenate(tf_parts),
-        np.concatenate(dl_parts),
+        np.concatenate(tf_parts, dtype=np.uint32, casting="same_kind"),
+        np.concatenate(dl_parts, dtype=np.uint32, casting="same_kind"),
         bytes(pos),
         np.asarray(bm, dtype=np.float64),
         np.asarray(bl, dtype=np.uint64),

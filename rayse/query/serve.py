@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from functools import cache
 
 import numpy as np
 
@@ -99,6 +100,16 @@ class QueryActor:
         return np.asarray(docs), np.asarray(scores)
 
 
+@cache
+def _remote_query_actor():
+    """The Ray actor class of ``QueryActor``, made once per process: each
+    ``ray.remote`` call makes a new class that Ray pickles and exports
+    again."""
+    import ray
+
+    return ray.remote(num_cpus=1)(QueryActor)
+
+
 class SearchCluster:
     """Driver-side facade over a pool of QueryActors."""
 
@@ -123,7 +134,7 @@ class SearchCluster:
         assign: list[list[int]] = [[] for _ in range(pool_size)]
         for i, p in enumerate(parts):
             assign[i % pool_size].append(p)
-        Remote = ray.remote(num_cpus=1)(QueryActor)
+        Remote = _remote_query_actor()
         self.actors = [Remote.remote(index_dir, parts) for parts in assign]
         self._ray = ray
         # ST4-analog result cache (size/TTL-bounded; 0 entries disables)

@@ -1,7 +1,13 @@
 """Index-content equality vs the brute-force oracle (FIXTURES.md:
 test_index_equality, test_doc_ids_stable) plus codec round-trips."""
 
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from rayse.index.encoding import (
@@ -11,6 +17,7 @@ from rayse.index.encoding import (
     encode_positions,
     encode_varints,
 )
+from rayse.index.reader import int64_values, string_values
 from rayse.index.segments import DecodedPostings
 from rayse.stages.doc_ids import doc_id_of, part_of
 
@@ -101,3 +108,65 @@ def test_no_doc_id_collisions(corpus_table):
     turn = corpus_table["turn_idx"].to_pylist()
     ids = {doc_id_of(c, t) for c, t in zip(conv, turn)}
     assert len(ids) == corpus_table.num_rows
+
+
+def test_int64_values_honours_chunk_offsets():
+    col = pa.chunked_array([pa.array(np.arange(10, dtype=np.int64)),
+                            pa.array(np.arange(100, 107, dtype=np.int64)),
+                            pa.array(np.arange(-5, 0, dtype=np.int64))])
+    for c in (col, col.slice(3), col.slice(3, 9), col.slice(12, 6),
+              col.slice(11, 1), col.slice(0, 0)):
+        got = int64_values(c)
+        assert got.dtype == np.int64
+        assert got.tolist() == c.to_numpy().tolist()
+    one = pa.chunked_array([pa.array(np.arange(8, dtype=np.int64))])
+    assert int64_values(one.slice(2, 4)).tolist() == [2, 3, 4, 5]
+
+
+def test_string_values_honours_chunk_offsets():
+    col = pa.chunked_array([pa.array(["ab", "ab", "c", "déjà"]),
+                            pa.array(["", "x", "naïve", "zz"])])
+    for c in (col, col.slice(1), col.slice(2, 4), col.slice(5, 2),
+              col.slice(0, 0)):
+        assert string_values(c) == c.to_pylist()
+
+
+_COLD_OPEN = """
+import sys
+import ray
+from rayse.index.maintenance import delete_convs
+from rayse.query.engine import SearchEngine
+
+index_dir = sys.argv[1]
+queries = ["flazo", "flazo rastedi kidivaque", "gradient descent batch",
+           '"rate limit exceeded"',
+           '"gradient descent optimizer" OR "rate limit exceeded"']
+hits = []
+for deleted in ([], ["conv-%07d" % c for c in range(0, 400, 3)]):
+    if deleted:
+        delete_convs(index_dir, deleted)
+    eng = SearchEngine(index_dir)
+    assert eng.reader.tombstones.size == len(deleted)
+    n = 0
+    for q in queries:
+        n += eng.search(q, 10)[0].size
+    n += eng.search("rastedi vadriyi", 10, mode="and")[0].size
+    n += eng.search(" ".join(eng.reader.terms_with_prefix("fla")), 10)[0].size
+    hits.append(n)
+assert hits[0] > hits[1] > 0, hits
+print(sorted(m for m in ("pandas", "pyarrow.dataset") if m in sys.modules))
+"""
+
+
+def test_open_and_query_import_no_pandas(index_dir, tmp_path):
+    """A fresh process (a new serving actor) opens and queries an index,
+    plain and with tombstones, without importing pandas or
+    ``pyarrow.dataset``: each costs a cold open about 0.1 s."""
+    idx = tmp_path / "index"
+    shutil.copytree(index_dir, idx)
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_OPEN, str(idx)],
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -69,6 +69,31 @@ def test_cluster_refuses_pool_beyond_cpus(cluster, index_dir):
         SearchCluster(index_dir, pool_size=pool)
 
 
+def test_clusters_share_one_actor_class(cluster, engine, index_dir,
+                                        monkeypatch):
+    """Every SearchCluster of a process starts its actors from one Ray
+    actor class: ``ray.remote`` makes a new class, which Ray pickles and
+    exports again, each time it is called. One pool at a time beside the
+    module cluster, whose 3 actors hold 3 of the session's 4 CPUs."""
+    import ray
+
+    from rayse.query.serve import SearchCluster
+
+    made = []
+    remote = ray.remote
+    monkeypatch.setattr(ray, "remote",
+                        lambda *a, **kw: made.append(1) or remote(*a, **kw))
+    q = QUERIES[0]
+    want = [int(x) for x in engine.search(q, 10)[0]]
+    for _ in range(2):
+        c = SearchCluster(index_dir, pool_size=1, cache_entries=0)
+        try:
+            assert [int(x) for x in c.search(q, 10)[0]] == want
+        finally:
+            c.shutdown()
+    assert made == []       # the module cluster already made the class
+
+
 def test_result_cache_hit_identity(cluster, engine):
     """ST4 analog (`SearchController.java:33-143`): cached results are
     identical to fresh ones and hits skip the actor fan-out."""

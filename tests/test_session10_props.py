@@ -3,11 +3,14 @@ division parity, Hilbert bijectivity, Bloom hash stability, CLI ops
 registry error paths."""
 import subprocess
 import sys
+from pathlib import Path
 
 import duckdb
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @settings(max_examples=200, deadline=None)
@@ -50,11 +53,11 @@ def test_cov_trunc_parity_negative():
 def test_cli_ops_list_and_unknown():
     out = subprocess.run(
         [sys.executable, "-m", "rayse.cli", "ops", "--list"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=REPO)
     assert out.returncode == 0
     names = out.stdout.split()
     assert "dedup_exact" in names and "hilbert_rank" in names
     bad = subprocess.run(
         [sys.executable, "-m", "rayse.cli", "ops", "no_such_op"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=REPO)
     assert bad.returncode == 2

@@ -7,10 +7,7 @@ SF = "/root/testdata/sf0.001"
 
 
 def _index(ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as e
+    import __ray_entry__ as e   # from the repo root conftest.py put on sys.path
 
     return e._index_for(SF)
 
