@@ -138,7 +138,7 @@ def hash_join(left_ds, right_ds, left_on, right_on, *,
     joins its two shards with Arrow's vectorized hash join
     (``pa.Table.join`` — no Python row loop). This is the big⋈big route;
     when one side fits a broadcast, prefer the ray.put + lookup pattern
-    (`top_customer_revenue`) — it skips both spills.
+    — it skips both spills.
 
     Keys must be integer-typed (same contract as ``exchange_by_key``).
     Non-key column names must not collide across sides (select/rename

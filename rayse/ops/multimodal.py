@@ -579,7 +579,7 @@ class WavAudioFrameStage(AudioFrameStage):
 
 def media_wav_frames(sf_dir: str):
     """Framewise (media_id, frame_idx, energy, zcr) where each payload
-    is a REAL WAV file: documents.text's ascii bytes are encoded into a
+    is a REAL WAV file: documents.text's UTF-8 bytes are encoded into a
     RIFF/WAVE container by the stdlib codec, shipped as the binary
     payload column, and decoded back inside the actor-pool stage by the
     same codec before the DSP. Because encode∘decode is the identity on
@@ -595,7 +595,7 @@ def media_wav_frames(sf_dir: str):
         return pa.table({
             "media_id": batch["doc_id"],
             "payload": pa.array(
-                [wav_encode_pcm8(np.frombuffer(t.encode("ascii"),
+                [wav_encode_pcm8(np.frombuffer(t.encode("utf-8"),
                                                np.uint8))
                  for t in batch["text"].to_pylist()], pa.binary()),
         })

@@ -1,9 +1,10 @@
-"""Relational operators over the TPC-H-ish sf tables — broad-coverage
-demonstrations of the guide's aggregation/join patterns on the engine's
-non-search side (wide groupby aggregate, broadcast hash join, trailing
-sliding window). All DuckDB-oracle-matched.
+"""Relational operators over the sf tables — the engine's non-search
+side: a trailing sliding window and the as-of and range joins over the
+events log, and key set operations across id domains. All
+DuckDB-oracle-matched.
 
-Float policy: money values are converted to integer cents PER ROW (both
+Float policy (``_cents``, shared by the money-handling ops of this
+package): money values are converted to integer cents PER ROW (both
 sides compute half-away-from-zero rounding on identical double operands ->
 identical integers) and summed as int64 — integer sums are
 order-independent, so the hash-exact comparison cannot be broken by float
@@ -11,7 +12,8 @@ summation order, unlike any "round the float sum" scheme (boundary flips).
 Rounding is ``floor(x*100 + 0.5)`` (half-AWAY for non-negative money),
 matching DuckDB's ``round()`` on DOUBLE exactly; ``np.round`` would be
 half-to-even and disagree on exact .5 cents (e.g. 246.5 -> 246 vs 247).
-All money columns here are non-negative, which the floor form requires.
+The money columns it is applied to are non-negative, which the floor
+form requires.
 """
 
 from __future__ import annotations
@@ -24,275 +26,6 @@ def _cents(x: np.ndarray, scale: float = 100.0) -> np.ndarray:
     """Half-away-from-zero integer scaling for non-negative doubles
     (identical to DuckDB round(x*scale))."""
     return np.floor(x * scale + 0.5).astype(np.int64)
-
-
-def pricing_summary(sf_dir: str):
-    """Q1-style pricing summary: per (returnflag, linestatus) sums/counts
-    over lineitem — partial per-batch combine + one small groupby."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # pure Arrow/numpy partial combine (no pandas conversion): group key
-        # = dictionary codes of "returnflag|linestatus", sums via bincount
-        qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
-        price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
-        disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        key = pa.compute.binary_join_element_wise(
-            batch["l_returnflag"], batch["l_linestatus"], "|")
-        dic = key.combine_chunks().dictionary_encode()
-        codes = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_g = len(dic.dictionary)
-        labels = [s.split("|") for s in dic.dictionary.to_pylist()]
-        return pa.table({
-            "l_returnflag": pa.array([l[0] for l in labels], pa.string()),
-            "l_linestatus": pa.array([l[1] for l in labels], pa.string()),
-            "sum_qty": pa.array(
-                np.bincount(codes, _cents(qty), n_g).astype(np.int64)),
-            "sum_base_price": pa.array(
-                np.bincount(codes, _cents(price), n_g).astype(np.int64)),
-            "sum_disc_price": pa.array(
-                np.bincount(codes, _cents(price * (1.0 - disc), 10000.0),
-                            n_g).astype(np.int64)),
-            "count_order": pa.array(np.bincount(codes, None, n_g)
-                                    .astype(np.int64)),
-        })
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(rd.aggregate.Sum("sum_qty"),
-                      rd.aggregate.Sum("sum_base_price"),
-                      rd.aggregate.Sum("sum_disc_price"),
-                      rd.aggregate.Sum("count_order")))
-
-    def final(batch: pa.Table) -> pa.Table:
-        def cents(col):
-            return pa.compute.cast(batch[col], pa.int64())
-
-        return pa.table({
-            "l_returnflag": batch["l_returnflag"],
-            "l_linestatus": batch["l_linestatus"],
-            "sum_qty": cents("sum(sum_qty)"),            # qty * 100
-            "sum_base_price": cents("sum(sum_base_price)"),   # cents
-            "sum_disc_price": cents("sum(sum_disc_price)"),   # 1e-4 units
-            "count_order": pa.compute.cast(batch["sum(count_order)"],
-                                           pa.int64()),
-        })
-
-    return agg.map_batches(final, batch_format="pyarrow")
-
-
-PRICING_SUMMARY_SQL = """
-    SELECT l_returnflag, l_linestatus,
-           CAST(sum(CAST(round(l_quantity * 100) AS BIGINT)) AS BIGINT)
-             AS sum_qty,
-           CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT)
-             AS sum_base_price,
-           CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                         AS BIGINT)) AS BIGINT) AS sum_disc_price,
-           CAST(count(*) AS BIGINT) AS count_order
-    FROM lineitem GROUP BY l_returnflag, l_linestatus
-"""
-
-
-def revenue_by_region(sf_dir: str):
-    """Q5-style revenue rollup: lineitem ⋈ orders is the big⋈big edge and
-    runs through the CO-PARTITIONED file-exchange hash join
-    (`exchange.hash_join`: both sides spilled by mix(orderkey), one
-    Arrow hash join per partition — the scale route when neither side
-    broadcasts); customer→nation→region is the small dimension chain,
-    collapsed to ONE broadcast custkey→region map (ray.put once, read
-    per task). Revenue quantizes per row to 1e-4 currency units before
-    summing, so the int64 aggregate is order-independent and the SQL
-    oracle matches exactly."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from .exchange import hash_join
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_regionkey"])
-    reg = pq.read_table(f"{sf_dir}/region.parquet",
-                        columns=["r_regionkey", "r_name"])
-    # collapse the dimension chain driver-side (region/nation are tiny;
-    # customer is the documented broadcast bound — route it through
-    # hash_join too if it outgrows a worker heap)
-    n2r = dict(zip(nat["n_nationkey"].to_pylist(),
-                   nat["n_regionkey"].to_pylist()))
-    r2n = dict(zip(reg["r_regionkey"].to_pylist(),
-                   reg["r_name"].to_pylist()))
-    cust_region = {c: r2n[n2r[nk]] for c, nk in zip(
-        cust["c_custkey"].to_pylist(), cust["c_nationkey"].to_pylist())}
-    ref = ray.put(cust_region)
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def project_line(batch: pa.Table) -> pa.Table:
-        price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
-        disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "l_orderkey": batch["l_orderkey"],
-            "rev": pa.array(_cents(price * (1.0 - disc), 10000.0),
-                            pa.int64())})
-
-    line = line.map_batches(project_line, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-
-    joined = hash_join(line, orders, "l_orderkey", "o_orderkey")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        region_of = ray.get(ref)
-        keys = batch["o_custkey"].to_pylist()
-        regions = np.asarray([region_of[k] for k in keys], dtype=object)
-        rev = batch["rev"].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(regions, return_inverse=True)
-        return pa.table({
-            "r_name": pa.array(list(u), pa.string()),
-            "revenue": pa.array(np.bincount(inv, rev, u.size)
-                                .astype(np.int64), pa.int64()),
-            "n_items": pa.array(np.bincount(inv, None, u.size)
-                                .astype(np.int64), pa.int64())})
-
-    agg = (joined.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-           .groupby("r_name")
-           .aggregate(rd.aggregate.Sum("revenue"),
-                      rd.aggregate.Sum("n_items")))
-
-    def final(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "r_name": batch["r_name"],
-            "revenue": pa.compute.cast(batch["sum(revenue)"], pa.int64()),
-            "n_items": pa.compute.cast(batch["sum(n_items)"], pa.int64())})
-
-    return agg.map_batches(final, batch_format="pyarrow")
-
-
-def customers_without_premium_orders(sf_dir: str,
-                                     threshold: float = 400_000.0):
-    """Anti-join through the exchange: customers with NO order of
-    ``o_totalprice >= threshold`` — the filtered right side prunes at
-    the parquet scan (row filter pushdown), then `hash_join` runs its
-    'left anti' route (left-only partitions short-circuit to their
-    whole shard)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from .exchange import hash_join
-
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
-    premium = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"],
-        filter=pc.field("o_totalprice") >= threshold)
-    return hash_join(cust, premium, "c_custkey", "o_custkey",
-                     join_type="left anti")
-
-
-CUSTOMERS_WITHOUT_PREMIUM_SQL = """
-    SELECT c_custkey, c_name FROM customer c
-    WHERE NOT EXISTS (SELECT 1 FROM orders o
-                      WHERE o.o_custkey = c.c_custkey
-                        AND o.o_totalprice >= 400000.0)
-"""
-
-
-REVENUE_BY_REGION_SQL = """
-    SELECT r_name,
-           CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                         AS BIGINT)) AS BIGINT) AS revenue,
-           CAST(count(*) AS BIGINT) AS n_items
-    FROM lineitem
-    JOIN orders ON l_orderkey = o_orderkey
-    JOIN customer ON o_custkey = c_custkey
-    JOIN nation ON c_nationkey = n_nationkey
-    JOIN region ON n_regionkey = r_regionkey
-    GROUP BY r_name
-"""
-
-
-def top_customer_revenue(sf_dir: str, n: int = 10):
-    """Top-N customers by total order value: BROADCAST hash join (customer
-    side shipped once via ray.put, looked up per batch — the guide's
-    small-side join pattern; no shuffle) + groupby + deterministic top-N."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_name"])
-    name_of = dict(zip(cust["c_custkey"].to_pylist(),
-                       cust["c_name"].to_pylist()))
-    ref = ray.put(name_of)
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_custkey": batch["o_custkey"],
-            "cents": pa.array(_cents(
-                batch["o_totalprice"].to_numpy(zero_copy_only=False)),
-                pa.int64()),
-        })
-
-    agg = (orders.map_batches(to_cents, batch_format="pyarrow",
-                              zero_copy_batch=True)
-           .groupby("o_custkey")
-           .aggregate(rd.aggregate.Sum("cents"), rd.aggregate.Count()))
-
-    def partial_topn(batch: pa.Table) -> pa.Table:
-        # per-batch partial top-N: the global top-N is a subset of the union
-        # of per-batch top-Ns (keys are distinct after the groupby), so only
-        # N rows per batch reach the driver — never one row per customer
-        cust = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        rev = batch["sum(cents)"].to_numpy(zero_copy_only=False)
-        cnt = batch["count()"].to_numpy(zero_copy_only=False)
-        idx = np.lexsort((cust, -rev))[:n]
-        return pa.table({
-            "o_custkey": pa.array(cust[idx], pa.int64()),
-            "revenue": pa.array(rev[idx].astype(np.int64), pa.int64()),
-            "n_orders": pa.array(cnt[idx].astype(np.int64), pa.int64()),
-        })
-
-    def hydrate(batch: pa.Table) -> pa.Table:
-        names = ray.get(ref)
-        keys = batch["o_custkey"].to_pylist()
-        return pa.table({
-            "c_custkey": pa.array(keys, pa.int64()),
-            "c_name": pa.array([names.get(k, "") for k in keys],
-                               pa.string()),
-            "revenue": batch["revenue"],
-            "n_orders": batch["n_orders"],
-        })
-
-    rows = (agg.map_batches(partial_topn, batch_format="pyarrow")
-            .map_batches(hydrate, batch_format="pyarrow").take_all())
-    rows.sort(key=lambda r: (-r["revenue"], r["c_custkey"]))
-    return pa.Table.from_pylist(rows[:n])
-
-
-TOP_CUSTOMER_REVENUE_SQL = """
-    SELECT c_custkey, c_name,
-           CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-             AS revenue,
-           CAST(count(*) AS BIGINT) AS n_orders
-    FROM orders JOIN customer ON o_custkey = c_custkey
-    GROUP BY c_custkey, c_name
-    ORDER BY revenue DESC, c_custkey LIMIT 10
-"""
 
 
 def _type_hashes(etype: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ Sizing: pool_size actors (at most one per part that holds postings), each
 owning about ``parts / pool_size`` of those parts at ``num_cpus=1``; at
 cluster scale resident set per actor = index / pool. A pool larger than
 Ray's CPU count is refused: its surplus actors would never be scheduled.
+A pool that fits the total but not the CPUs left free by other pools is
+refused once ``READY_TIMEOUT_S`` passes without every actor answering.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import numpy as np
 
 from .engine import SearchEngine, top_k
 from .parser import parse_query
+
+# seconds a new pool may take until every actor has opened its parts
+READY_TIMEOUT_S = 120.0
 
 
 class ResultCache:
@@ -134,9 +139,23 @@ class SearchCluster:
         assign: list[list[int]] = [[] for _ in range(pool_size)]
         for i, p in enumerate(parts):
             assign[i % pool_size].append(p)
+        free = int(ray.available_resources().get("CPU", 0))
         Remote = _remote_query_actor()
         self.actors = [Remote.remote(index_dir, parts) for parts in assign]
         self._ray = ray
+        # an actor Ray cannot place waits for a CPU and would leave every
+        # query waiting on it
+        ready, pending = ray.wait([a.__ray_ready__.remote()
+                                   for a in self.actors],
+                                  num_returns=pool_size,
+                                  timeout=READY_TIMEOUT_S)
+        if pending:
+            self.shutdown()
+            raise RuntimeError(
+                f"{len(pending)} of {pool_size} QueryActors did not start "
+                f"within {READY_TIMEOUT_S:g} s: the pool needs {pool_size} "
+                f"CPUs and Ray had {free} free")
+        ray.get(ready)          # raises an actor's error opening its parts
         # ST4-analog result cache (size/TTL-bounded; 0 entries disables)
         self.cache = (ResultCache(cache_entries, cache_ttl_s)
                       if cache_entries > 0 else None)

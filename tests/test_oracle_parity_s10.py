@@ -12,18 +12,16 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
 CASES = [
-    "local_supplier_volume", "market_share", "idle_customers",
     "zipf_slope", "kmeans_silhouette", "attribution_counts",
     "cumulative_users", "mode_value", "xcorr_hourly",
-    "powerlaw_alpha", "time_to_convert", "orders_rfm",
-    "daily_quartiles", "pivot_type_hour", "source_trigram_cos",
+    "powerlaw_alpha", "time_to_convert",
+    "source_trigram_cos",
     "ab_lift", "media_dedup", "fertility_by_lang",
-    "customer_distribution", "routed_joins", "seq_patterns",
-    "er_clusters", "mutual_information", "cohort_revenue",
+    "seq_patterns",
+    "er_clusters", "mutual_information",
     "max_concurrent", "modularity", "pair_lift", "ann_label_topk",
-    "decayed_popularity", "rich_club", "type_user_jaccard",
-    "bounce_rate", "order_gaps", "sliding_distinct_users",
-    "monthly_revenue_share", "partitioned_write_prune",
+    "rich_club", "type_user_jaccard",
+    "bounce_rate", "sliding_distinct_users",
 ]
 
 

@@ -11,7 +11,6 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
 CASES = [
-    "min_cost_supplier", "profit_by_nation_year",
     "knn_classify", "dtw_profiles", "t_closeness",
     "porter_searchafter_topk", "porter_convscope_topk",
     "gazetteer_tags", "tree_depth2", "min_spanning_forest",
@@ -19,10 +18,10 @@ CASES = [
     "isotonic_hourly", "huffman_codes",
     "feature_hash_vectors", "graph_feature_prop", "upsert_merge",
     "ivm_distinct_retract", "bootstrap_resamples",
-    "weighted_median_price", "group_kfold",
+    "group_kfold",
     "porter_synquery_topk", "porter_lossynorm_topk",
     "conformal_intervals", "mutual_knn_pairs", "scc_components",
-    "selinger_plan", "media_audio_frames", "quantile_normalize",
+    "media_audio_frames", "quantile_normalize",
     "bitvector_rank_select", "support_points", "activity_selection",
     "maximal_independent_set", "temporal_reachability",
     "wl_refinement", "deepwalk_corpus", "greedy_set_cover",
@@ -30,9 +29,9 @@ CASES = [
     "source_shapley", "stable_matching", "knapsack_select",
     "lis_per_user", "ef_gamma_audit", "weighted_interval_schedule",
     "absorption_probability", "border_per_user",
-    # the two driver-window suite entries that carry this session's
+    # the driver-window suite entries that carry this session's
     # cells as arms — pinned whole so the window composition is tested
-    "relational_suite", "porter_rank_matrix",
+    "stats_suite", "engine_suite", "porter_rank_matrix",
 ]
 
 

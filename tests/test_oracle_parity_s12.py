@@ -72,18 +72,30 @@ def test_wav_codec_roundtrip():
     assert np.array_equal(back, s)
 
 
-def test_wav_stage_matches_pcm_stage(ray_session):
+def test_wav_stage_matches_pcm_stage(ray_session, tmp_path):
     """media_wav_frames (real codec round-trip inside the actor pool)
     is row-identical to media_audio_frames (raw PCM) — the decode seam
-    changes the payload format, never the DSP result."""
+    changes the payload format, never the DSP result. Both take the
+    text's UTF-8 bytes, so a corpus of non-ASCII documents frames alike
+    too."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
     from rayse.ops.multimodal import media_audio_frames, media_wav_frames
 
-    a = media_audio_frames(SF).to_pandas() \
-        .sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
-    b = media_wav_frames(SF).to_pandas() \
-        .sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
+    texts = ["naïve café " * 40, "日本語のテキスト " * 30,
+             "emoji 🙂 and ümlauts " * 20, "plain ascii text " * 20]
+    pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)),
+                                                pa.int64()),
+                             "text": texts}),
+                   tmp_path / "documents.parquet")
+    for sf in (SF, str(tmp_path)):
+        a = media_audio_frames(sf).to_pandas() \
+            .sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
+        b = media_wav_frames(sf).to_pandas() \
+            .sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b)
+        assert len(a) > 0, sf
 
 
 def test_feature_extract_real_audio_codec(ray_session):

@@ -39,7 +39,7 @@ def test_serving_role_identity(cluster, engine):
     """Distributed role-filtered/boosted search == single-process engine
     (role ops are partition-local, so the per-part merge stays exact).
     Reuses the module cluster — its 3 actors hold 3 of the session's 4
-    CPUs, so a second pool would pend forever."""
+    CPUs, so a second pool of more than one actor would be refused."""
     for q in ["table scan", "hash join merge"]:
         for kwargs in ({"role": "assistant"},
                        {"role_weights": {"assistant": 3.0, "user": 0.5}}):
@@ -67,6 +67,22 @@ def test_cluster_refuses_pool_beyond_cpus(cluster, index_dir):
     assert len(present_parts(index_dir)) >= pool   # not clamped by parts
     with pytest.raises(ValueError, match="CPU"):
         SearchCluster(index_dir, pool_size=pool)
+
+
+def test_cluster_refuses_pool_beyond_free_cpus(cluster, index_dir,
+                                               monkeypatch):
+    """A pool that fits Ray's total CPUs but not the free ones would
+    leave an actor unscheduled and its first query waiting forever: it
+    is refused once the readiness timeout passes, naming the CPUs."""
+    import ray
+
+    import rayse.query.serve as serve
+
+    monkeypatch.setattr(serve, "READY_TIMEOUT_S", 3.0)
+    assert int(ray.cluster_resources()["CPU"]) >= 2  # fits the total
+    with pytest.raises(RuntimeError,
+                       match=r"needs 2 CPUs and Ray had [01] free"):
+        serve.SearchCluster(index_dir, pool_size=2, cache_entries=0)
 
 
 def test_clusters_share_one_actor_class(cluster, engine, index_dir,
