@@ -1802,15 +1802,6 @@ def _q_max_concurrent(sf_dir: str) -> pa.Table:
     return max_concurrent_sessions(sf_dir)
 
 
-def _q_modularity(sf_dir: str) -> pa.Table:
-    """Exact Newman modularity of the LPA communities in truncating
-    milli integers (4m·intra − ΣD², all exact) — DuckDB hash-matched
-    over the unrolled-LPA label oracle."""
-    from rayse.ops.lpa import modularity_events
-
-    return modularity_events(sf_dir)
-
-
 def _q_pair_lift(sf_dir: str) -> pa.Table:
     """Association lift for the top-support part pairs as exact
     integer ppm (support·n·1e6 // c_a·c_b) off the order-local
@@ -1984,15 +1975,6 @@ def _q_porter_gapphrase(sf_dir: str) -> pa.Table:
     return porter_gapphrase_matches(_index_for(sf_dir))
 
 
-def _q_node2vec_corpus(sf_dir: str) -> pa.Table:
-    """Deterministic node2vec: biased second-order walks (return/
-    common/outward integer weights, splitmix draws) — DuckDB
-    hash-matched against the carried (prev, cur) recursion."""
-    from rayse.ops.node2vec import node2vec_corpus
-
-    return node2vec_corpus(sf_dir)
-
-
 def _q_greedy_set_cover(sf_dir: str) -> pa.Table:
     """Greedy set cover (data-subset selection): covered-vocab
     broadcast + per-batch argmax partials per round — DuckDB
@@ -2002,34 +1984,6 @@ def _q_greedy_set_cover(sf_dir: str) -> pa.Table:
     return greedy_set_cover(sf_dir)
 
 
-def _q_deepwalk_corpus(sf_dir: str) -> pa.Table:
-    """Deterministic DeepWalk corpus: lockstep broadcast-frontier
-    walks with splitmix neighbour draws — DuckDB hash-matched against
-    the recursive offset-pick oracle."""
-    from rayse.ops.deepwalk import deepwalk_corpus
-
-    return deepwalk_corpus(sf_dir)
-
-
-def _q_wl_sharded(sf_dir: str):
-    """1-WL refinement through the sharded no-driver-vertex-state route
-    (co-partitioned edge/color shards, per-partition canonical-string
-    rehash, exchange-joined class sizes) — bit-identical to the dense
-    route, DuckDB hash-matched against the same unrolled oracle."""
-    from rayse.ops.wl import wl_refinement_sharded
-
-    return wl_refinement_sharded(sf_dir)
-
-
-def _q_wl_refinement(sf_dir: str) -> pa.Table:
-    """1-WL color refinement (two unrolled rounds, canonical-string
-    FNV rehash of own color + sorted neighbour multiset) — DuckDB
-    hash-matched."""
-    from rayse.ops.wl import wl_refinement
-
-    return wl_refinement(sf_dir)
-
-
 def _q_temporal_reachability(sf_dir: str) -> pa.Table:
     """Time-respecting earliest-arrival reachability (foremost
     journeys): gated min-label rounds over timestamped edges —
@@ -2037,24 +1991,6 @@ def _q_temporal_reachability(sf_dir: str) -> pa.Table:
     from rayse.ops.temporal import temporal_reachability
 
     return temporal_reachability(sf_dir)
-
-
-def _q_mis_sharded(sf_dir: str):
-    """Deterministic-Luby MIS through the sharded no-driver-vertex-state
-    route (two exchange passes per round) — bit-identical to the dense
-    route, DuckDB hash-matched against the same recursive oracle."""
-    from rayse.ops.mis import maximal_independent_set_sharded
-
-    return maximal_independent_set_sharded(sf_dir)
-
-
-def _q_maximal_independent_set(sf_dir: str) -> pa.Table:
-    """Deterministic-Luby MIS (local-min-priority rounds, edges
-    stream, vectors broadcast) — DuckDB hash-matched replay plus
-    independence/maximality pytest pins."""
-    from rayse.ops.mis import maximal_independent_set
-
-    return maximal_independent_set(sf_dir)
 
 
 def _q_activity_selection(sf_dir: str) -> pa.Table:
@@ -2111,16 +2047,6 @@ def _q_media_audio_frames(sf_dir: str):
     return media_audio_frames(sf_dir)
 
 
-def _q_scc_components(sf_dir: str) -> pa.Table:
-    """Strongly connected components by the distributed coloring
-    algorithm (forward min-label fixpoint + in-class backward sweep
-    per outer round) — hash-matched against the mutual-reachability
-    closure oracle."""
-    from rayse.ops.scc import scc_components
-
-    return scc_components(sf_dir)
-
-
 def _q_conformal_intervals(sf_dir: str) -> pa.Table:
     """Split conformal prediction: exact finite-sample rank quantile
     of |value − calibration median| per type, test coverage in ppm —
@@ -2163,15 +2089,6 @@ def _q_feature_hash_vectors(sf_dir: str):
     from rayse.ops.fhash import feature_hash_vectors
 
     return feature_hash_vectors(sf_dir)
-
-
-def _q_graph_feature_prop(sf_dir: str) -> pa.Table:
-    """Two rounds of GraphSAGE-style neighbor mean aggregation
-    (edges stream, feature vector broadcasts) — DuckDB hash-matched
-    against chained truncating-mean joins."""
-    from rayse.ops.gprop import graph_feature_prop
-
-    return graph_feature_prop(sf_dir)
 
 
 def _q_upsert_merge(sf_dir: str) -> pa.Table:
@@ -2217,16 +2134,6 @@ def _q_hbos_outliers(sf_dir: str) -> pa.Table:
     from rayse.ops.movmed import hbos_outliers
 
     return hbos_outliers(sf_dir)
-
-
-def _q_min_spanning_forest(sf_dir: str) -> pa.Table:
-    """Distributed Borůvka minimum spanning forest (per-component
-    argmin folds + driver union-find) hash-matched against a
-    Prim-with-restart recursive oracle — an algorithm-equivalence
-    theorem under the strict (h, u, v) edge order."""
-    from rayse.ops.mst import min_spanning_forest
-
-    return min_spanning_forest(sf_dir)
 
 
 def _q_gazetteer_tags(sf_dir: str) -> pa.Table:
@@ -2342,19 +2249,15 @@ def _q_sampling_suite(sf_dir: str) -> pa.Table:
 
 
 def _q_pagerank_fixed_suite(sf_dir: str) -> pa.Table:
-    """Integer fixed-point link analysis under one window slot: PageRank
-    through BOTH realizations — the broadcast-rank-vector variant and
-    the vertex-count-unbounded sharded exchange variant (bit-identical
-    by integer-sum order independence) — under the recursive-CTE oracle,
+    """Integer fixed-point link analysis under one window slot: dense
+    PageRank (broadcast rank vector) under the recursive-CTE oracle,
     plus HITS hubs & authorities (integer L1-normalized power iteration)
-    under the unrolled-CTE oracle, plus per-node triangle counts and
-    degrees under the self-join oracle, plus personalized PageRank
-    (seed-restricted teleport) under its own recursive CTE. Round 5
-    adds the no-driver-vertex-state sharded realizations of LPA,
-    k-core, 1-WL and Luby MIS as hash-gated arms under the same
-    oracles as their dense twins."""
-    from rayse.ops.graph import (hits_fixed_events, pagerank_fixed_events,
-                                 pagerank_fixed_sharded_events)
+    under the unrolled-CTE oracle, plus TextRank vertices, per-node
+    triangle counts, degrees and clustering coefficients under the
+    self-join oracle, plus personalized PageRank (seed-restricted
+    teleport) under its own recursive CTE, plus BFS hop counts and
+    Bellman-Ford distances under their unrolled oracles."""
+    from rayse.ops.graph import hits_fixed_events, pagerank_fixed_events
 
     from rayse.ops.textrank import textrank_vertices
 
@@ -2364,7 +2267,6 @@ def _q_pagerank_fixed_suite(sf_dir: str) -> pa.Table:
     tri = coeff_from_counts(_q_triangle_counts(sf_dir))
     return _tagged_union([
         ("dense", pagerank_fixed_events(sf_dir)),
-        ("sharded", pagerank_fixed_sharded_events(sf_dir)),
         ("hits_hub", hits.select(["vertex", "hub_fp"]).rename_columns(
             ["vertex", "rank_fp"])),
         ("hits_auth", hits.select(["vertex", "auth_fp"]).rename_columns(
@@ -2377,22 +2279,6 @@ def _q_pagerank_fixed_suite(sf_dir: str) -> pa.Table:
         ("clustcoef", tri.select(
             ["node", "coeff_ppm"]).rename_columns(["vertex", "rank_fp"])),
         ("ppr", _q_ppr_fixed(sf_dir)),
-        ("kcore", _as_table(_q_kcore_h(sf_dir)).rename_columns(
-            ["vertex", "rank_fp"])),
-        ("cc", _as_table(_q_link_components(sf_dir)).rename_columns(
-            ["vertex", "rank_fp"])),
-        ("lpa", _as_table(_q_lpa_communities(sf_dir)).rename_columns(
-            ["vertex", "rank_fp"])),
-        ("lpa_sharded", _as_table(_q_lpa_communities_sharded(sf_dir))
-         .rename_columns(["vertex", "rank_fp"])),
-        ("kcore_sharded", _as_table(_q_kcore_sharded(sf_dir))
-         .rename_columns(["vertex", "rank_fp"])),
-        ("wl_sharded", _as_table(_q_wl_sharded(sf_dir))
-         .select(["v", "wl_color"])
-         .rename_columns(["vertex", "rank_fp"])),
-        ("mis_sharded", _as_table(_q_mis_sharded(sf_dir))
-         .select(["v", "in_mis"])
-         .rename_columns(["vertex", "rank_fp"])),
         ("bfs", _as_table(_q_bfs_hops(sf_dir)).rename_columns(
             ["vertex", "rank_fp"])),
         ("bellman", _as_table(_q_bellman_ford(sf_dir)).rename_columns(
@@ -2461,36 +2347,6 @@ def _q_weighted_sample(sf_dir: str) -> pa.Table:
     from rayse.ops.sampling import weighted_sample
 
     return _as_table(weighted_sample(sf_dir))
-
-
-def _q_link_components(sf_dir: str) -> pa.Table:
-    """(node, comp_id): connected components of the link graph (min
-    node id label) — the dedup family's routed CC (driver union-find /
-    distributed pointer-jumping) over the shared canonical edge set —
-    DuckDB hash-matched against the recursive min-label CTE."""
-    from rayse.ops.kcore import link_components
-
-    return link_components(sf_dir)
-
-
-def _q_kcore_sharded(sf_dir: str):
-    """Coreness via the sharded no-driver-vertex-state h-index
-    iteration (co-partitioned edge/value shards + vote exchange) —
-    bit-identical to the dense route, DuckDB hash-matched against the
-    same unrolled iteration oracle."""
-    from rayse.ops.kcore import kcore_h_sharded
-
-    return kcore_h_sharded(sf_dir)
-
-
-def _q_kcore_h(sf_dir: str) -> pa.Table:
-    """(node, core_h): k-core decomposition via the Lü et al. h-index
-    iteration — broadcast vertex vector + mergeable neighbor-value
-    histograms per round, monotone-fixpoint early stop — DuckDB
-    hash-matched against the unrolled MATERIALIZED-CTE oracle."""
-    from rayse.ops.kcore import kcore_h
-
-    return kcore_h(sf_dir)
 
 
 def _q_ppr_fixed(sf_dir: str) -> pa.Table:
@@ -3117,16 +2973,6 @@ def _q_clean_corpus(sf_dir: str):
     return clean_corpus(sf_dir)
 
 
-def _q_pagerank_fixed_sharded(sf_dir: str):
-    """The vertex-count-unbounded PageRank realization (edges spilled
-    once by hash(src), rank rows exchanged per iteration — no
-    vertex-dense driver state); bit-identical to `pagerank_fixed`, same
-    recursive-CTE oracle."""
-    from rayse.ops.graph import pagerank_fixed_sharded_events
-
-    return pagerank_fixed_sharded_events(sf_dir)
-
-
 def _q_pack_clean_corpus(sf_dir: str):
     """The composed pretraining prep: clean_corpus's kept set feeds
     pack_sequences through a LEFT SEMI exchange hash join — the
@@ -3164,27 +3010,6 @@ def _q_pagerank_fixed(sf_dir: str):
     from rayse.ops.graph import pagerank_fixed_events
 
     return pagerank_fixed_events(sf_dir)
-
-
-def _q_lpa_communities_sharded(sf_dir: str):
-    """LPA with no driver-side vertex state: label shards co-partition
-    with the once-spilled undirected edge list, votes exchange by
-    receiving vertex (the sharded-PageRank template applied to votes) —
-    bit-identical to the dense route, DuckDB hash-matched against the
-    same unrolled-CTE oracle."""
-    from rayse.ops.lpa import lpa_communities_sharded_events
-
-    return lpa_communities_sharded_events(sf_dir, iters=2)
-
-
-def _q_lpa_communities(sf_dir: str):
-    """Deterministic synchronous label-propagation communities (two
-    rounds — the pre-consolidation state is the discriminating check;
-    min-label tie-break) over the derived event graph — DuckDB
-    hash-matched against the unrolled-CTE oracle."""
-    from rayse.ops.lpa import lpa_communities_events
-
-    return lpa_communities_events(sf_dir, iters=2)
 
 
 def _q_props_extract(sf_dir: str):
@@ -3842,8 +3667,6 @@ _REL_MELT_ARMS = {
                 lambda: _sqlmod("ctlangid").source_trigram_cos_sql()),
     "huffman": (_q_huffman_codes, ("word",), ("cf", "code_len", "code"),
                 lambda: _sqlmod("huffman").huffman_codes_sql()),
-    "gprop": (_q_graph_feature_prop, ("v",), ("x0", "x1", "x2"),
-              lambda: _sqlmod("gprop").graph_feature_prop_sql()),
     "upsert": (_q_upsert_merge, ("user_id", "src"), ("val_cents",),
                lambda: _sqlmod("upsert").upsert_merge_sql()),
     "ivm": (_q_ivm_distinct_retract, ("event_type",),
@@ -3855,10 +3678,6 @@ _REL_MELT_ARMS = {
               lambda: _sqlmod("fhash").feature_hash_vectors_sql()),
     "mknn": (_q_mutual_knn_pairs, ("a",), ("b",),
              lambda: _sqlmod("conformal").mutual_knn_pairs_sql()),
-    "scc": (_q_scc_components, ("v",), ("comp", "comp_size"),
-            lambda: _sqlmod("scc").scc_components_sql()),
-    "msf": (_q_min_spanning_forest, ("u", "v"), ("w",),
-            lambda: _sqlmod("mst").min_spanning_forest_sql()),
 }
 
 
@@ -3911,8 +3730,7 @@ _REL_SUITE_TAGS = {
         "qpp", "skyline", "pairs", "fs", "kanon", "checksum",
         "zonemap", "ckdiff", "churn", "fk", "linkpred", "ldiv",
         "phrasesel", "layout", "adamic", "mediadedup", "trigcos",
-        "huffman", "gprop", "upsert", "ivm", "gaz", "fhash", "mknn",
-        "scc", "msf"],
+        "huffman", "upsert", "ivm", "gaz", "fhash", "mknn"],
 }
 # every registry tag appears in exactly one themed suite, none > 40 arms
 assert sorted(t for ts in _REL_SUITE_TAGS.values() for t in ts) \
@@ -4017,7 +3835,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     index + percolator / dictionary diff, heavy hitters, storage plan),
     ``sampling_suite`` (3 sampling machineries), ``cluster_suite``
     (k-means + SemDeDup), ``join_suite`` (as-of + range),
-    ``pagerank_fixed_suite`` (dense + sharded + HITS + TextRank), and
+    ``pagerank_fixed_suite`` (PageRank + PPR + HITS + TextRank +
+    triangles + BFS + Bellman-Ford), and
     ``stats_suite`` / ``engine_suite``, which between them run every
     ``_REL_SUITE_TAGS`` arm once. An entry whose builder is such an arm
     (``mixture_epochs``, ``stump_fit``, ...) therefore sits below the
@@ -4105,8 +3924,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "data_checks": _q_data_checks,
         "kmv_source_ops": _q_kmv_source_ops,
         "simpson_diversity": _q_simpson_diversity,
-        "kcore_h": _q_kcore_h,
-        "kcore_sharded": _q_kcore_sharded,
         "weighted_sample": _q_weighted_sample,
         "g2_collocations": _q_g2_collocations,
         "chunk_documents": _q_chunk_documents,
@@ -4114,7 +3931,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "compression_ratio": _q_compression_ratio,
         "porter_bm25f_topk": _q_porter_bm25f_topk,
         "split_assign": _q_split_assign,
-        "link_components": _q_link_components,
         "duplicate_spans": _q_duplicate_spans,
         "span_dedup_docs": _q_span_dedup_docs,
         "funnel_counts": _q_funnel_counts,
@@ -4179,7 +3995,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "er_clusters": _q_er_clusters,
         "mutual_information": _q_mutual_information,
         "max_concurrent": _q_max_concurrent,
-        "modularity": _q_modularity,
         "pair_lift": _q_pair_lift,
         "ann_label_topk": _q_ann_label_topk,
         "rich_club": _q_rich_club,
@@ -4193,13 +4008,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "porter_convscope_topk": _q_porter_convscope_topk,
         "gazetteer_tags": _q_gazetteer_tags,
         "tree_depth2": _q_tree_depth2,
-        "min_spanning_forest": _q_min_spanning_forest,
         "moving_median_daily": _q_moving_median_daily,
         "hbos_outliers": _q_hbos_outliers,
         "isotonic_hourly": _q_isotonic_hourly,
         "huffman_codes": _q_huffman_codes,
         "feature_hash_vectors": _q_feature_hash_vectors,
-        "graph_feature_prop": _q_graph_feature_prop,
         "upsert_merge": _q_upsert_merge,
         "ivm_distinct_retract": _q_ivm_distinct_retract,
         "bootstrap_resamples": _q_bootstrap_resamples,
@@ -4208,21 +4021,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "porter_lossynorm_topk": _q_porter_lossynorm_topk,
         "conformal_intervals": _q_conformal_intervals,
         "mutual_knn_pairs": _q_mutual_knn_pairs,
-        "scc_components": _q_scc_components,
         "media_audio_frames": _q_media_audio_frames,
         "media_wav_frames": _q_media_wav_frames,
         "quantile_normalize": _q_quantile_normalize,
         "bitvector_rank_select": _q_bitvector_rank_select,
         "support_points": _q_support_points,
         "activity_selection": _q_activity_selection,
-        "maximal_independent_set": _q_maximal_independent_set,
-        "mis_sharded": _q_mis_sharded,
         "temporal_reachability": _q_temporal_reachability,
-        "wl_refinement": _q_wl_refinement,
-        "wl_sharded": _q_wl_sharded,
-        "deepwalk_corpus": _q_deepwalk_corpus,
         "greedy_set_cover": _q_greedy_set_cover,
-        "node2vec_corpus": _q_node2vec_corpus,
         "porter_gapphrase": _q_porter_gapphrase,
         "lcs_pairs": _q_lcs_pairs,
         "source_shapley": _q_source_shapley,
@@ -4324,8 +4130,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "stratified_sample": _q_stratified_sample,
         "quota_sample": _q_quota_sample,
         "pagerank_fixed": _q_pagerank_fixed,
-        "lpa_communities": _q_lpa_communities,
-        "lpa_sharded": _q_lpa_communities_sharded,
         "hits_fixed": _q_hits_fixed,
         "textrank_keywords": _q_textrank_keywords,
         "pack_clean_corpus": _q_pack_clean_corpus,
@@ -4366,7 +4170,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_lsh_topk": _q_ann_lsh_topk,
         "ann_ivf_topk": _q_ann_ivf_topk,
         "ann_pq_topk": _q_ann_pq_topk,
-        "pagerank_fixed_sharded": _q_pagerank_fixed_sharded,
         "pagerank": _q_pagerank,
         "media_features": _q_media_features,
         "bm25_topk": _q_bm25_topk,
@@ -4593,10 +4396,6 @@ def oracle_sql() -> dict[str, str]:
         "simpson_diversity": __import__(
             "rayse.ops.textstats",
             fromlist=["x"]).simpson_diversity_sql(),
-        "kcore_h": __import__(
-            "rayse.ops.kcore", fromlist=["x"]).kcore_h_sql(),
-        "kcore_sharded": __import__(
-            "rayse.ops.kcore", fromlist=["x"]).kcore_h_sql(),
         "weighted_sample": __import__(
             "rayse.ops.sampling", fromlist=["x"]).weighted_sample_sql(),
         "g2_collocations": __import__(
@@ -4612,8 +4411,6 @@ def oracle_sql() -> dict[str, str]:
             fromlist=["x"]).porter_bm25f_sql(),
         "split_assign": __import__(
             "rayse.ops.sampling", fromlist=["x"]).split_assign_sql(),
-        "link_components": __import__(
-            "rayse.ops.kcore", fromlist=["x"]).link_components_sql(),
         "sessionize": """
             WITH ordered AS (
               SELECT user_id, epoch_us(ts) AS tus, value,
@@ -4663,10 +4460,6 @@ def oracle_sql() -> dict[str, str]:
                 shingle_k=3, threshold=0.5),
         "pagerank_fixed": __import__(
             "rayse.ops.graph", fromlist=["x"]).pagerank_fixed_sql(),
-        "lpa_communities": __import__(
-            "rayse.ops.lpa", fromlist=["x"]).lpa_communities_sql(iters=2),
-        "lpa_sharded": __import__(
-            "rayse.ops.lpa", fromlist=["x"]).lpa_communities_sql(iters=2),
         "hits_fixed": __import__(
             "rayse.ops.graph", fromlist=["x"]).hits_fixed_sql(),
         "embedding_neardup": __import__(
@@ -4932,8 +4725,6 @@ def oracle_sql() -> dict[str, str]:
                 fromlist=["x"]).duplicate_char_extents_sql())]),
         "repetition_stats": __import__(
             "rayse.ops.textstats", fromlist=["x"]).repetition_stats_sql(),
-        "pagerank_fixed_sharded": __import__(
-            "rayse.ops.graph", fromlist=["x"]).pagerank_fixed_sql(),
         "clean_corpus": __import__(
             "rayse.pipelines.clean_corpus",
             fromlist=["x"]).clean_corpus_sql(),
@@ -5096,8 +4887,6 @@ def oracle_sql() -> dict[str, str]:
         "mutual_knn_pairs": __import__(
             "rayse.ops.conformal",
             fromlist=["x"]).mutual_knn_pairs_sql(),
-        "scc_components": __import__(
-            "rayse.ops.scc", fromlist=["x"]).scc_components_sql(),
         "media_audio_frames": __import__(
             "rayse.ops.multimodal",
             fromlist=["x"]).media_audio_frames_sql(),
@@ -5116,28 +4905,12 @@ def oracle_sql() -> dict[str, str]:
         "activity_selection": __import__(
             "rayse.ops.activity",
             fromlist=["x"]).activity_selection_sql(),
-        "maximal_independent_set": __import__(
-            "rayse.ops.mis",
-            fromlist=["x"]).maximal_independent_set_sql(),
-        "mis_sharded": __import__(
-            "rayse.ops.mis",
-            fromlist=["x"]).maximal_independent_set_sql(),
         "temporal_reachability": __import__(
             "rayse.ops.temporal",
             fromlist=["x"]).temporal_reachability_sql(),
-        "wl_refinement": __import__(
-            "rayse.ops.wl", fromlist=["x"]).wl_refinement_sql(),
-        "wl_sharded": __import__(
-            "rayse.ops.wl", fromlist=["x"]).wl_refinement_sql(),
-        "deepwalk_corpus": __import__(
-            "rayse.ops.deepwalk",
-            fromlist=["x"]).deepwalk_corpus_sql(),
         "greedy_set_cover": __import__(
             "rayse.ops.setcover",
             fromlist=["x"]).greedy_set_cover_sql(),
-        "node2vec_corpus": __import__(
-            "rayse.ops.node2vec",
-            fromlist=["x"]).node2vec_corpus_sql(),
         "porter_gapphrase": __import__(
             "rayse.ops.porter_oracle",
             fromlist=["x"]).porter_gapphrase_sql(),
@@ -5301,8 +5074,6 @@ def oracle_sql() -> dict[str, str]:
         "max_concurrent": __import__(
             "rayse.ops.sweepline",
             fromlist=["x"]).max_concurrent_sessions_sql(),
-        "modularity": __import__(
-            "rayse.ops.lpa", fromlist=["x"]).modularity_events_sql(),
         "pair_lift": __import__(
             "rayse.ops.basket", fromlist=["x"]).pair_lift_sql(),
         "ann_label_topk": __import__(
@@ -5331,9 +5102,6 @@ def oracle_sql() -> dict[str, str]:
             fromlist=["x"]).gazetteer_tags_sql(),
         "tree_depth2": __import__(
             "rayse.ops.stump", fromlist=["x"]).tree_depth2_sql(),
-        "min_spanning_forest": __import__(
-            "rayse.ops.mst",
-            fromlist=["x"]).min_spanning_forest_sql(),
         "moving_median_daily": __import__(
             "rayse.ops.movmed",
             fromlist=["x"]).moving_median_daily_sql(),
@@ -5347,9 +5115,6 @@ def oracle_sql() -> dict[str, str]:
         "feature_hash_vectors": __import__(
             "rayse.ops.fhash",
             fromlist=["x"]).feature_hash_vectors_sql(),
-        "graph_feature_prop": __import__(
-            "rayse.ops.gprop",
-            fromlist=["x"]).graph_feature_prop_sql(),
         "upsert_merge": __import__(
             "rayse.ops.upsert", fromlist=["x"]).upsert_merge_sql(),
         "ivm_distinct_retract": __import__(
@@ -5493,8 +5258,6 @@ def oracle_sql() -> dict[str, str]:
         "pagerank_fixed_suite": _tagged_union_sql([
             ("dense", "vertex, rank_fp", __import__(
                 "rayse.ops.graph", fromlist=["x"]).pagerank_fixed_sql()),
-            ("sharded", "vertex, rank_fp", __import__(
-                "rayse.ops.graph", fromlist=["x"]).pagerank_fixed_sql()),
             ("hits_hub", "vertex, hub_fp AS rank_fp", __import__(
                 "rayse.ops.graph", fromlist=["x"]).hits_fixed_sql()),
             ("hits_auth", "vertex, auth_fp AS rank_fp", __import__(
@@ -5513,26 +5276,6 @@ def oracle_sql() -> dict[str, str]:
             ("textrank", "vertex, rank_fp", __import__(
                 "rayse.ops.textrank",
                 fromlist=["x"]).textrank_sql(final="vertex")),
-            ("kcore", "node AS vertex, core_h AS rank_fp", __import__(
-                "rayse.ops.kcore", fromlist=["x"]).kcore_h_sql()),
-            ("cc", "node AS vertex, comp_id AS rank_fp", __import__(
-                "rayse.ops.kcore",
-                fromlist=["x"]).link_components_sql()),
-            ("lpa", "vertex, community AS rank_fp", __import__(
-                "rayse.ops.lpa",
-                fromlist=["x"]).lpa_communities_sql(iters=2)),
-            ("lpa_sharded", "vertex, community AS rank_fp", __import__(
-                "rayse.ops.lpa",
-                fromlist=["x"]).lpa_communities_sql(iters=2)),
-            ("kcore_sharded", "node AS vertex, core_h AS rank_fp",
-             __import__("rayse.ops.kcore",
-                        fromlist=["x"]).kcore_h_sql()),
-            ("wl_sharded", "v AS vertex, wl_color AS rank_fp",
-             __import__("rayse.ops.wl",
-                        fromlist=["x"]).wl_refinement_sql()),
-            ("mis_sharded", "v AS vertex, in_mis AS rank_fp",
-             __import__("rayse.ops.mis",
-                        fromlist=["x"]).maximal_independent_set_sql()),
             ("bfs", "vertex, hop AS rank_fp", __import__(
                 "rayse.ops.graph", fromlist=["x"]).bfs_hops_sql()),
             ("bellman", "vertex, dist AS rank_fp", __import__(

@@ -280,8 +280,8 @@ def er_clusters(sf_dir: str) -> pa.Table:
     components of the Jaro-Winkler pair graph at >= ER_JW_THRESHOLD,
     canonical id = smallest member. Composition of the blocked JW
     scorer and the dedup family's union-find (driver route under the
-    pair bound, distributed min-label above it — the `link_components`
-    routing). The 0.9 threshold sits >= 4e-3 away from every observed
+    pair bound, distributed min-label above it, as ``dedup`` routes
+    it). The 0.9 threshold sits >= 4e-3 away from every observed
     pair score, so the float compare is boundary-safe on both sides.
     DuckDB hash-matched against the recursive min-label oracle."""
     import ray

@@ -34,6 +34,28 @@ import numpy as np
 import pyarrow as pa
 
 DEMO_VERTEX_SPACE = 200
+PAIR_KEY_BOUND = 2 ** 32
+
+
+def pack_pair(lo, hi) -> np.ndarray:
+    """One int64 key per vertex pair: the 64 bits ``lo << 32 | hi``.
+    Every id must lie in [0, 2^32): vertex ids come from the outside
+    ``events.user_id``, and an id outside that range would silently
+    collide with another pair, so it raises ValueError instead."""
+    lo = np.asarray(lo, np.int64)
+    hi = np.asarray(hi, np.int64)
+    if lo.size and (min(lo.min(), hi.min()) < 0
+                    or max(lo.max(), hi.max()) >= PAIR_KEY_BOUND):
+        raise ValueError("pair keys need vertex ids in [0, 2^32)")
+    return ((lo.astype(np.uint64) << np.uint64(32))
+            | hi.astype(np.uint64)).view(np.int64)
+
+
+def unpack_pair(key) -> tuple:
+    """(lo, hi) int64 arrays back from ``pack_pair`` keys."""
+    k = np.asarray(key, np.int64).view(np.uint64)
+    return ((k >> np.uint64(32)).astype(np.int64),
+            (k & np.uint64(PAIR_KEY_BOUND - 1)).astype(np.int64))
 
 
 def _props_k(col) -> np.ndarray:
@@ -223,169 +245,6 @@ def pagerank_fixed_events(sf_dir: str, iters: int = 20):
     return pagerank_fixed(derived_edges(sf_dir), iters=iters)
 
 
-# ---------------------------------------------------------------------------
-# Sharded integer PageRank — the vertex-count-unbounded realization. The
-# variants above broadcast a vertex-dense rank vector and hold it on the
-# driver (fine to ~1e8 vertices; documented bound). Here NO vertex-dense
-# state exists anywhere: edges are spilled ONCE hive-partitioned by
-# hash(src) (with out-degree local to each partition by construction);
-# each iteration exchanges only the (v, r) rank rows by the SAME partition
-# function — rank rows meet their vertices' out-edges co-partitioned, one
-# task per shard computes (dst, contrib) partials, and a second exchange
-# by dst applies the update (zero rows from the vertex table keep
-# in-linkless vertices alive for teleport). All arithmetic is the same
-# int64 floor recursion as ``pagerank_fixed``, and integer sums are
-# order-independent, so the result is BIT-IDENTICAL to the dense variant
-# and the same recursive-CTE oracle applies.
-# ---------------------------------------------------------------------------
-
-def _pr_distinct_v(tbl: pa.Table) -> pa.Table:
-    if tbl.num_rows == 0:
-        return pa.table({"v": pa.array([], pa.int64())})
-    return pa.table({"v": pa.array(
-        np.unique(tbl["v"].to_numpy(zero_copy_only=False)), pa.int64())})
-
-
-def _pr_update(tbl: pa.Table, d_num: int, d_den: int,
-               teleport: int) -> pa.Table:
-    """(dst, contrib) partials + zero rows -> (v, r) next-iteration rank."""
-    if tbl.num_rows == 0:
-        return pa.table({"v": pa.array([], pa.int64()),
-                         "r": pa.array([], pa.int64())})
-    dst = tbl["dst"].to_numpy(zero_copy_only=False)
-    c = tbl["contrib"].to_numpy(zero_copy_only=False)
-    order = np.argsort(dst, kind="stable")
-    d, cs = dst[order], c[order]
-    new = np.empty(d.size, dtype=bool)
-    new[0] = True
-    new[1:] = d[1:] != d[:-1]
-    starts = np.flatnonzero(new)
-    link = np.add.reduceat(cs, starts)
-    return pa.table({
-        "v": pa.array(d[starts], pa.int64()),
-        "r": pa.array(((d_den - d_num) * link) // d_den + teleport,
-                      pa.int64()),
-    })
-
-
-def pagerank_fixed_sharded(edges_ds, iters: int = 20, scale: int = 10**12,
-                           d_num: int = 15, d_den: int = 100,
-                           n_parts: int | None = None,
-                           tmp_root: str = "/tmp"):
-    """Integer PageRank with no vertex-dense state (module comment above);
-    returns a Dataset of (vertex, rank_fp), bit-identical to
-    ``pagerank_fixed``."""
-    import glob
-    import os
-    import shutil
-    import uuid
-
-    import ray
-    import ray.data as rd
-
-    from .exchange import default_parts, exchange_by_key, partition_of
-
-    P = n_parts if n_parts is not None else min(default_parts(), 64)
-    root = os.path.join(tmp_root,
-                        f"rayse_pr_{os.getpid()}_{uuid.uuid4().hex[:8]}")
-    edir = os.path.join(root, "edges")
-
-    def stamp_edges(b: pa.Table) -> pa.Table:
-        src = b["src"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "_part", pa.array(partition_of([src], P), pa.int64()))
-
-    edges_ds.map_batches(stamp_edges, batch_format="pyarrow",
-                         zero_copy_batch=True).write_parquet(
-        edir, partition_cols=["_part"])
-    edge_pids = sorted(int(os.path.basename(p).split("=")[1])
-                       for p in glob.glob(os.path.join(edir, "_part=*")))
-
-    def vrows(b: pa.Table) -> pa.Table:
-        return pa.table({"v": pa.array(np.unique(np.concatenate([
-            b["src"].to_numpy(zero_copy_only=False),
-            b["dst"].to_numpy(zero_copy_only=False)])), pa.int64())})
-
-    verts = exchange_by_key(
-        edges_ds.map_batches(vrows, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        "v", _pr_distinct_v).materialize()
-    n = verts.count()
-    if n == 0:
-        import ray.data as _rd
-        shutil.rmtree(root, ignore_errors=True)
-        return _rd.from_arrow(pa.table({"vertex": pa.array([], pa.int64()),
-                                        "rank_fp": pa.array([], pa.int64())}))
-    teleport = (d_num * scale) // (d_den * n)
-    r0 = scale // n
-
-    def init_rank(b: pa.Table) -> pa.Table:
-        return pa.table({"v": b["v"], "r": pa.array(
-            np.full(b.num_rows, r0, np.int64), pa.int64())})
-
-    def zero_rows(b: pa.Table) -> pa.Table:
-        return pa.table({"dst": b["v"], "contrib": pa.array(
-            np.zeros(b.num_rows, np.int64), pa.int64())})
-
-    @ray.remote
-    def contrib_shard(pid: int, rdir: str) -> pa.Table:
-        import pyarrow.dataset as pads
-
-        e = pads.dataset(os.path.join(edir, f"_part={pid}")).to_table(
-            columns=["src", "dst"], use_threads=False)
-        rt = pads.dataset(os.path.join(rdir, f"_part={pid}")).to_table(
-            columns=["v", "r"], use_threads=False)
-        v = rt["v"].to_numpy(zero_copy_only=False)
-        r = rt["r"].to_numpy(zero_copy_only=False)
-        o = np.argsort(v)
-        v, r = v[o], r[o]
-        src = e["src"].to_numpy(zero_copy_only=False)
-        dst = e["dst"].to_numpy(zero_copy_only=False)
-        su, sinv, scnt = np.unique(src, return_inverse=True,
-                                   return_counts=True)
-        w = r[np.searchsorted(v, src)] // scnt[sinv]   # od local by part
-        du, dinv = np.unique(dst, return_inverse=True)
-        sums = np.zeros(du.size, dtype=np.int64)
-        np.add.at(sums, dinv, w)
-        return pa.table({"dst": pa.array(du, pa.int64()),
-                         "contrib": pa.array(sums, pa.int64())})
-
-    rank = verts.map_batches(init_rank, batch_format="pyarrow")
-    try:
-        for it in range(iters):
-            rdir = os.path.join(root, f"rank_{it}")
-
-            def stamp_rank(b: pa.Table) -> pa.Table:
-                v = b["v"].to_numpy(zero_copy_only=False)
-                return b.append_column(
-                    "_part", pa.array(partition_of([v], P), pa.int64()))
-
-            rank.map_batches(stamp_rank,
-                             batch_format="pyarrow").write_parquet(
-                rdir, partition_cols=["_part"])
-            refs = [contrib_shard.remote(pid, rdir) for pid in edge_pids]
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            contribs = rd.from_arrow_refs(refs)
-            zeros = verts.map_batches(zero_rows, batch_format="pyarrow")
-            rank = exchange_by_key(
-                contribs.union(zeros), "dst", _pr_update, n_parts=P,
-                tmp_root=tmp_root,
-                proc_kwargs={"d_num": d_num, "d_den": d_den,
-                             "teleport": teleport}).materialize()
-            shutil.rmtree(rdir, ignore_errors=True)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    def out(b: pa.Table) -> pa.Table:
-        return pa.table({"vertex": b["v"], "rank_fp": b["r"]})
-
-    return rank.map_batches(out, batch_format="pyarrow")
-
-
-def pagerank_fixed_sharded_events(sf_dir: str, iters: int = 20):
-    return pagerank_fixed_sharded(derived_edges(sf_dir), iters=iters)
-
-
 def pagerank_fixed_sql(iters: int = 20, scale: int = 10**12,
                        d_num: int = 15, d_den: int = 100,
                        vertex_space: int = DEMO_VERTEX_SPACE) -> str:
@@ -453,9 +312,7 @@ def hits_fixed(edges_ds, iters: int = 8, scale: int = 10**9) -> pa.Table:
     ``pagerank_fixed``: edges stream per half-iteration with the
     current vector broadcast (ray.put once per pass, read per task),
     per-batch partial sums before the groupby; the dense driver-side
-    vector is the same documented ~1e8-vertex bound (the sharded
-    exchange realization of ``pagerank_fixed_sharded`` applies
-    unchanged if needed)."""
+    vector bounds the vertex count by one driver heap (~1e8 vertices)."""
     import ray
 
     verts_tbl = edges_ds.map_batches(
@@ -818,7 +675,7 @@ def edge_reciprocity(sf_dir: str) -> pa.Table:
         lo = tbl["lo"].to_numpy(zero_copy_only=False)
         hi = tbl["hi"].to_numpy(zero_copy_only=False)
         fwd = tbl["fwd"].to_numpy(zero_copy_only=False)
-        key = (lo.astype(np.int64) << np.int64(32)) | hi
+        key = pack_pair(lo, hi)
         order = np.argsort(key, kind="stable")
         key, fwd = key[order], fwd[order]
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -880,13 +737,11 @@ def bfs_hops(edges_ds, max_hops: int = 16) -> pa.Table:
     sources with a vectorized searchsorted membership test and emits the
     batch-deduped destinations; one tiny groupby dedups across tasks.
     Driver state is the visited set — vertex-bounded, the same
-    documented ~1e8 bound as ``pagerank_fixed``'s dense vector (the
-    sharded realization of ``pagerank_fixed_sharded`` applies unchanged
-    when vertices outgrow one driver heap). Levels run while the
-    frontier is non-empty and hop <= max_hops, so a vertex is labeled
-    with its FIRST discovery level == shortest-path hop count, matching
-    the oracle's min-over-walks semantics exactly (integer levels, no
-    arithmetic to drift).
+    ~1e8-vertex driver-heap bound as ``pagerank_fixed``'s dense vector.
+    Levels run while the frontier is non-empty and hop <= max_hops, so
+    a vertex is labeled with its FIRST discovery level == shortest-path
+    hop count, matching the oracle's min-over-walks semantics exactly
+    (integer levels, no arithmetic to drift).
 
     Reference relationship: the reference's crawler frontier
     (`CrawlerMainProcess.java:46-47,245-246` LinkedBlockingQueue +
@@ -1087,8 +942,8 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
     ``edge_broadcast_limit``, and above it (or at limit <= 0) an
     exchange anti-join where tagged edge rows meet the candidate
     counts per key partition — bit-identical, pytest-pinned; partial
-    top-k caps what reaches the driver at k rows per batch/partition. Ties break (count DESC,
-    v_a, v_b). DuckDB hash-matched.
+    top-k caps what reaches the driver at k rows per batch/partition.
+    Ties break (count DESC, v_a, v_b). DuckDB hash-matched.
 
     Scale bound to know: wedge volume is sum over middle vertices of
     deg(v)^2 — a hub explodes its partition (the inherent cost of
@@ -1096,7 +951,9 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
     (cap per-vertex adjacency at a high-percentile degree, or iterate
     hubs separately through a salted second exchange) trade exactness
     the oracle contract here refuses; this op keeps exact semantics
-    and documents the bound."""
+    and documents the bound. Vertex pairs travel as one ``pack_pair``
+    int64 key, so every vertex id must lie in [0, 2^32) (ValueError
+    otherwise)."""
     import ray
     import ray.data as rd
 
@@ -1141,7 +998,7 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
         a = batch["v"].to_numpy(zero_copy_only=False)
         b = batch["v2"].to_numpy(zero_copy_only=False)
         m = a < b
-        key = a[m] * (2 ** 32) + b[m]
+        key = pack_pair(a[m], b[m])
         uk, cnt = np.unique(key, return_counts=True)
         return pa.table({"key": pa.array(uk, pa.int64()),
                          "c": pa.array(cnt.astype(np.int64), pa.int64())})
@@ -1151,8 +1008,8 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
 
     edges = edges.materialize()
     if edge_broadcast_limit <= 0 or edges.count() > edge_broadcast_limit:
-        # exchange-masked route (no driver/broadcast edge set at any
-        # size): candidate counts and tagged edge rows (c = -1) meet in
+        # exchange-masked route (no driver/broadcast edge set, however
+        # many edges): candidate counts and tagged edge rows (c = -1) meet in
         # key partitions; the reducer drops adjacent keys and keeps a
         # local (count DESC, v_a, v_b) top-k, so the driver merges at
         # most n_parts x k rows. Bit-identical to the broadcast route
@@ -1161,7 +1018,7 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
             lo = batch["lo"].to_numpy(zero_copy_only=False)
             hi = batch["hi"].to_numpy(zero_copy_only=False)
             return pa.table({
-                "key": pa.array(lo * (2 ** 32) + hi, pa.int64()),
+                "key": pa.array(pack_pair(lo, hi), pa.int64()),
                 "c": pa.array(np.full(lo.size, -1, np.int64),
                               pa.int64())})
 
@@ -1189,7 +1046,7 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
             cnt = np.maximum.reduceat(c, starts)
             keep = (~adjacent) & (cnt > 0)
             gk, gc = key[starts][keep], cnt[keep]
-            va, vb = gk // (2 ** 32), gk % (2 ** 32)
+            va, vb = unpack_pair(gk)
             order = np.lexsort((vb, va, -gc))[:k]
             return pa.table({"v_a": pa.array(va[order], pa.int64()),
                              "v_b": pa.array(vb[order], pa.int64()),
@@ -1224,7 +1081,7 @@ def link_predict(sf_dir: str, k: int = LINKPRED_K,
         ms = ray.get(mask_ref)
         key = batch["key"].to_numpy(zero_copy_only=False)
         c = batch["sum(c)"].to_numpy(zero_copy_only=False)
-        va, vb = key // (2 ** 32), key % (2 ** 32)
+        va, vb = unpack_pair(key)
         keep = np.fromiter(((int(x), int(y)) not in ms
                             for x, y in zip(va, vb)), bool, va.size)
         va, vb, c = va[keep], vb[keep], c[keep]
@@ -1353,7 +1210,7 @@ def adamic_adar(sf_dir: str, k: int = LINKPRED_K) -> pa.Table:
         b = batch["v2"].to_numpy(zero_copy_only=False)
         mid = batch["n"].to_numpy(zero_copy_only=False)
         m = a < b
-        key = a[m] * (2 ** 32) + b[m]
+        key = pack_pair(a[m], b[m])
         wmid = w[np.searchsorted(vs, mid[m])]
         uk, inv = np.unique(key, return_inverse=True)
         return pa.table({
@@ -1368,7 +1225,7 @@ def adamic_adar(sf_dir: str, k: int = LINKPRED_K) -> pa.Table:
         ms, _, _ = ray.get(mask_ref)
         key = batch["key"].to_numpy(zero_copy_only=False)
         s = batch["sum(s)"].to_numpy(zero_copy_only=False)
-        va, vb = key // (2 ** 32), key % (2 ** 32)
+        va, vb = unpack_pair(key)
         keep = np.fromiter(((int(x), int(y)) not in ms
                             for x, y in zip(va, vb)), bool, va.size)
         va, vb, s = va[keep], vb[keep], s[keep]
@@ -1439,8 +1296,8 @@ def bellman_ford(sf_dir: str, rounds: int = BF_ROUNDS) -> pa.Table:
     Distributed shape per round: broadcast the (vertex, dist) vector
     (ray.put once), stream edges with per-batch (dst, min candidate)
     partials, one groupby-min, driver applies element-wise min. Driver
-    state is vertex-bounded (the documented demo bound; the
-    ``pagerank_fixed_sharded`` exchange realization lifts it).
+    state is vertex-bounded (the ~1e8-vertex driver-heap bound of
+    ``pagerank_fixed``).
     Distances <= rounds * 6 — int64 trivially; DuckDB hash-matched
     against the unrolled min-plus oracle."""
     import ray
@@ -1550,7 +1407,7 @@ def powerlaw_alpha(sf_dir: str, dmin: int = PL_DMIN) -> pa.Table:
         lo = np.minimum(s, d)
         hi = np.maximum(s, d)
         m = lo != hi
-        key = lo[m] * np.int64(1 << 32) + hi[m]
+        key = pack_pair(lo[m], hi[m])
         uk = np.unique(key)
         return pa.table({"key": pa.array(uk, pa.int64())})
 
@@ -1559,7 +1416,7 @@ def powerlaw_alpha(sf_dir: str, dmin: int = PL_DMIN) -> pa.Table:
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         k = batch["key"].to_numpy(zero_copy_only=False)
-        v = np.concatenate((k // (1 << 32), k % (1 << 32)))
+        v = np.concatenate(unpack_pair(k))
         uv, cnt = np.unique(v, return_counts=True)
         return pa.table({
             "v": pa.array(uv, pa.int64()),
@@ -1644,7 +1501,7 @@ def rich_club(sf_dir: str,
         lo = np.minimum(s, d)
         hi = np.maximum(s, d)
         m = lo != hi
-        key = lo[m] * np.int64(1 << 32) + hi[m]
+        key = pack_pair(lo[m], hi[m])
         return pa.table({"key": pa.array(np.unique(key), pa.int64())})
 
     dedup = (edges.map_batches(undirect, batch_format="pyarrow")
@@ -1652,7 +1509,7 @@ def rich_club(sf_dir: str,
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         kk = batch["key"].to_numpy(zero_copy_only=False)
-        v = np.concatenate((kk // (1 << 32), kk % (1 << 32)))
+        v = np.concatenate(unpack_pair(kk))
         uv, cnt = np.unique(v, return_counts=True)
         return pa.table({
             "v": pa.array(uv, pa.int64()),
@@ -1676,7 +1533,7 @@ def rich_club(sf_dir: str,
     def club_partial(batch: pa.Table) -> pa.Table:
         vs, dg = ray.get(ref)
         k = batch["key"].to_numpy(zero_copy_only=False)
-        lo, hi = k // (1 << 32), k % (1 << 32)
+        lo, hi = unpack_pair(k)
         dl = dg[np.searchsorted(vs, lo)]
         dh = dg[np.searchsorted(vs, hi)]
         counts = [int(((dl > t) & (dh > t)).sum()) for t in ths]

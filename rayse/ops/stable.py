@@ -15,8 +15,7 @@ the preference evaluations are row-local mix() calls, so at scale the
 same rounds run over a broadcast state vector with proposals scored
 per batch — the bounded-head pin keeps the oracle exact.
 
-Reference relationship: none (assignment/matching family, next to
-`mis` / `mst`).
+Reference relationship: none (assignment/matching family).
 """
 
 from __future__ import annotations

@@ -106,24 +106,44 @@ def test_pagerank_fixed_matches_duckdb(ray_session):
     assert all(r >= 0 for _, r in got)
 
 
-def test_pagerank_fixed_sharded_bit_identical(ray_session):
-    """The vertex-count-unbounded sharded realization (edges spilled once
-    by hash(src), rank rows exchanged per iteration, no vertex-dense
-    driver state) is BIT-IDENTICAL to the dense integer variant — integer
-    floor arithmetic plus order-independent sums leave nothing to drift."""
-    import pandas as pd
+def test_ppr_fixed_matches_duckdb(ray_session):
+    """Seed-personalized integer PageRank == its seed-CASE recursive-CTE
+    oracle, bit-exact."""
+    import duckdb
 
-    from rayse.ops.graph import (derived_edges, pagerank_fixed,
-                                 pagerank_fixed_sharded)
+    from rayse.ops.graph import ppr_fixed_events, ppr_fixed_sql
 
-    sf = "/root/testdata/sf0.001"
-    dense = pagerank_fixed(derived_edges(sf), iters=3).to_pandas()
-    dense = dense.sort_values("vertex").reset_index(drop=True)
-    sharded = pagerank_fixed_sharded(derived_edges(sf), iters=3,
-                                     n_parts=8).to_pandas()
-    sharded = sharded.sort_values("vertex").reset_index(drop=True)
-    assert len(dense) >= 100
-    pd.testing.assert_frame_equal(dense, sharded[dense.columns])
+    t = ppr_fixed_events(SF)
+    got = sorted(zip(t["vertex"].to_pylist(), t["rank_fp"].to_pylist()))
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{SF}/events.parquet')")
+    want = sorted(tuple(r) for r in
+                  con.execute(ppr_fixed_sql()).fetchall())
+    assert got == want and len(got) > 0
+    assert 0 < sum(r for _, r in got) <= 10**12
+    assert all(r >= 0 for _, r in got)
+
+
+def test_pair_key_round_trip_and_bound():
+    """``pack_pair`` / ``unpack_pair`` round-trip every id in [0, 2^32)
+    (the top bit of ``lo`` included) and keep distinct pairs distinct;
+    an id outside that range raises instead of colliding."""
+    from rayse.ops.graph import pack_pair, unpack_pair
+
+    top = 2 ** 32 - 1
+    lo = np.array([0, 0, 1, 2 ** 31, top, top], np.int64)
+    hi = np.array([0, top, 0, 7, 0, top], np.int64)
+    key = pack_pair(lo, hi)
+    assert key.dtype == np.int64
+    assert np.unique(key).size == lo.size
+    back_lo, back_hi = unpack_pair(key)
+    assert np.array_equal(back_lo, lo) and np.array_equal(back_hi, hi)
+    for bad_lo, bad_hi in ((1, 2 ** 32), (2 ** 32, 1), (-1, 5), (5, -1)):
+        with pytest.raises(ValueError):
+            pack_pair(np.array([bad_lo]), np.array([bad_hi]))
+    assert pack_pair(np.array([], np.int64),
+                     np.array([], np.int64)).size == 0
 
 
 def test_hits_fixed_matches_duckdb(ray_session):

@@ -19,7 +19,7 @@ CASES = [
     "ab_lift", "media_dedup", "fertility_by_lang",
     "seq_patterns",
     "er_clusters", "mutual_information",
-    "max_concurrent", "modularity", "pair_lift", "ann_label_topk",
+    "max_concurrent", "pair_lift", "ann_label_topk",
     "rich_club", "type_user_jaccard",
     "bounce_rate", "sliding_distinct_users",
 ]

@@ -11,11 +11,7 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
 
 CASES = [
     "media_wav_frames",
-    "lpa_sharded",
-    "kcore_sharded",
-    "wl_sharded",
     "link_predict_xchg",
-    "mis_sharded",
     # correctness-window suites, pinned whole
     "phrase_matches_suite",
     "term_stats_suite",
