@@ -1862,15 +1862,6 @@ def _q_knn_classify(sf_dir: str) -> pa.Table:
     return knn_classify(sf_dir)
 
 
-def _q_dtw_profiles(sf_dir: str) -> pa.Table:
-    """Integer DTW between per-type hourly profiles off the bounded
-    grid fold — hash-matched against the recursive-CTE wavefront
-    oracle (two-deep frontier+halo recursion)."""
-    from rayse.ops.dtw import dtw_profiles
-
-    return dtw_profiles(sf_dir)
-
-
 def _q_t_closeness(sf_dir: str) -> pa.Table:
     """t-closeness privacy audit: exact rational ordered-EMD per QI
     group vs the global sensitive distribution — DuckDB
@@ -1888,84 +1879,6 @@ def _q_group_kfold(sf_dir: str) -> pa.Table:
     return group_kfold(sf_dir)
 
 
-def _q_border_per_user(sf_dir: str) -> pa.Table:
-    """KMP longest border / minimal period of each user's event-code
-    string — algorithm-vs-DEFINITION pin (linear failure function vs
-    direct prefix==suffix max) — DuckDB hash-matched."""
-    from rayse.ops.border import border_per_user
-
-    return border_per_user(sf_dir)
-
-
-def _q_absorption_probability(sf_dir: str) -> pa.Table:
-    """K-step conversion probability per state (absorbing-chain
-    fixed point, 2^20 truncating integers) — DuckDB hash-matched."""
-    from rayse.ops.absorb import absorption_probability
-
-    return absorption_probability(sf_dir)
-
-
-def _q_weighted_interval_schedule(sf_dir: str) -> pa.Table:
-    """Weighted interval scheduling DP per user (the value-aware
-    answer the earliest-end greedy provably cannot give) — DuckDB
-    hash-matched via the lockstep carried-prefix recursion."""
-    from rayse.ops.wis import weighted_interval_schedule
-
-    return weighted_interval_schedule(sf_dir)
-
-
-def _q_ef_gamma_audit(sf_dir: str) -> pa.Table:
-    """Elias-Fano vs Elias-gamma per-term postings-size audit (the
-    quasi-succinct encoding decision) — DuckDB hash-matched."""
-    from rayse.ops.eliasfano import ef_gamma_audit
-
-    return ef_gamma_audit(sf_dir)
-
-
-def _q_lis_per_user(sf_dir: str) -> pa.Table:
-    """Longest increasing subsequence per user: O(n log n) patience
-    scan vs the O(n²) lockstep recursion oracle — two algorithms, one
-    answer — DuckDB hash-matched."""
-    from rayse.ops.lis import lis_per_user
-
-    return lis_per_user(sf_dir)
-
-
-def _q_knapsack_select(sf_dir: str) -> pa.Table:
-    """Token-budget 0/1 knapsack: the sampled optimal-value frontier
-    via the carried-dp-curve recursion — DuckDB hash-matched."""
-    from rayse.ops.knapsack import knapsack_select
-
-    return knapsack_select(sf_dir)
-
-
-def _q_stable_matching(sf_dir: str) -> pa.Table:
-    """Gale-Shapley deferred acceptance (parallel proposal rounds,
-    supplier-optimal) — DuckDB hash-matched; the no-blocking-pair
-    stability theorem asserted in pytest."""
-    from rayse.ops.stable import stable_matching
-
-    return stable_matching(sf_dir)
-
-
-def _q_source_shapley(sf_dir: str) -> pa.Table:
-    """Exact integer Shapley data valuation of player sources for
-    vocabulary coverage (2^n lattice over the bitmask histogram) —
-    DuckDB hash-matched."""
-    from rayse.ops.shapley import source_shapley
-
-    return source_shapley(sf_dir)
-
-
-def _q_lcs_pairs(sf_dir: str) -> pa.Table:
-    """LCS (the diff primitive) between doc pairs on the bounded token
-    grid — hash-matched against the MAX-semiring recursive wavefront
-    oracle (borders join the frontier at their own diagonal)."""
-    from rayse.ops.lcs import lcs_pairs
-
-    return lcs_pairs(sf_dir)
-
-
 def _q_porter_gapphrase(sf_dir: str) -> pa.Table:
     """Gap-phrase (wildcard-slot SpanNear) matching: exact in-order
     stream-offset predicate via the generalized key-intersection —
@@ -1973,50 +1886,6 @@ def _q_porter_gapphrase(sf_dir: str) -> pa.Table:
     from rayse.ops.porter_oracle import porter_gapphrase_matches
 
     return porter_gapphrase_matches(_index_for(sf_dir))
-
-
-def _q_greedy_set_cover(sf_dir: str) -> pa.Table:
-    """Greedy set cover (data-subset selection): covered-vocab
-    broadcast + per-batch argmax partials per round — DuckDB
-    hash-matched; multi-round path pinned on a synthetic corpus."""
-    from rayse.ops.setcover import greedy_set_cover
-
-    return greedy_set_cover(sf_dir)
-
-
-def _q_temporal_reachability(sf_dir: str) -> pa.Table:
-    """Time-respecting earliest-arrival reachability (foremost
-    journeys): gated min-label rounds over timestamped edges —
-    DuckDB hash-matched against the carried recursive fixpoint."""
-    from rayse.ops.temporal import temporal_reachability
-
-    return temporal_reachability(sf_dir)
-
-
-def _q_activity_selection(sf_dir: str) -> pa.Table:
-    """Earliest-end greedy interval scheduling per user (one user
-    exchange, chain-walk recursive oracle; optimality pinned
-    greedy==DP in pytest) — DuckDB hash-matched."""
-    from rayse.ops.activity import activity_selection
-
-    return activity_selection(sf_dir)
-
-
-def _q_bitvector_rank_select(sf_dir: str) -> pa.Table:
-    """Succinct rank/select dictionary: bounded per-day directory +
-    pushdown-filtered in-bucket residuals — DuckDB hash-matched."""
-    from rayse.ops.succinct import bitvector_rank_select
-
-    return bitvector_rank_select(sf_dir)
-
-
-def _q_support_points(sf_dir: str) -> pa.Table:
-    """Convex support-function sample: per integer direction the
-    exact-dot extreme point via per-batch argmax partials — DuckDB
-    hash-matched."""
-    from rayse.ops.succinct import support_points
-
-    return support_points(sf_dir)
 
 
 def _q_quantile_normalize(sf_dir: str) -> pa.Table:
@@ -2107,16 +1976,6 @@ def _q_isotonic_hourly(sf_dir: str) -> pa.Table:
     from rayse.ops.isotonic import isotonic_hourly
 
     return isotonic_hourly(sf_dir)
-
-
-def _q_huffman_codes(sf_dir: str) -> pa.Table:
-    """Canonical Huffman code lengths+values for the top-16 words
-    (ordered merge rule, closed-form canonical assignment) —
-    hash-matched against a carried-forward recursive-CTE merge
-    oracle."""
-    from rayse.ops.huffman import huffman_codes
-
-    return huffman_codes(sf_dir)
 
 
 def _q_moving_median_daily(sf_dir: str) -> pa.Table:
@@ -3597,8 +3456,6 @@ _REL_MELT_ARMS = {
     "knn": (_q_knn_classify, ("q_id",),
             ("pred_label", "votes", "kth_dist"),
             lambda: _sqlmod("knn").knn_classify_sql()),
-    "dtw": (_q_dtw_profiles, ("type_a", "type_b"), ("dtw",),
-            lambda: _sqlmod("dtw").dtw_profiles_sql()),
     "tclose": (_q_t_closeness, ("event_type", "hour"), ("n", "emd_ppm"),
                lambda: _sqlmod("datachecks").t_closeness_sql()),
     "tree2": (_q_tree_depth2, ("node", "feature"),
@@ -3665,8 +3522,6 @@ _REL_MELT_ARMS = {
     "trigcos": (_q_source_trigram_cos, ("src_a", "src_b"),
                 ("dot", "cos2_ppm"),
                 lambda: _sqlmod("ctlangid").source_trigram_cos_sql()),
-    "huffman": (_q_huffman_codes, ("word",), ("cf", "code_len", "code"),
-                lambda: _sqlmod("huffman").huffman_codes_sql()),
     "upsert": (_q_upsert_merge, ("user_id", "src"), ("val_cents",),
                lambda: _sqlmod("upsert").upsert_merge_sql()),
     "ivm": (_q_ivm_distinct_retract, ("event_type",),
@@ -3724,13 +3579,13 @@ _REL_SUITE_TAGS = {
         "stump", "ewma", "forecast", "benford", "theilsen",
         "mannkendall", "psi", "dp", "twap", "ohlc", "holt", "kendall",
         "cumusers", "ablift", "xcorr", "mode", "ttc", "cov", "knn",
-        "dtw", "tclose", "tree2", "movmed", "hbos", "isotonic", "boot",
+        "tclose", "tree2", "movmed", "hbos", "isotonic", "boot",
         "kfold", "conformal", "perceptron", "mixture", "dsir"],
     "engine_suite": [
         "qpp", "skyline", "pairs", "fs", "kanon", "checksum",
         "zonemap", "ckdiff", "churn", "fk", "linkpred", "ldiv",
         "phrasesel", "layout", "adamic", "mediadedup", "trigcos",
-        "huffman", "upsert", "ivm", "gaz", "fhash", "mknn"],
+        "upsert", "ivm", "gaz", "fhash", "mknn"],
 }
 # every registry tag appears in exactly one themed suite, none > 40 arms
 assert sorted(t for ts in _REL_SUITE_TAGS.values() for t in ts) \
@@ -3773,9 +3628,9 @@ def _q_stats_suite(sf_dir: str) -> pa.Table:
 
 def _q_engine_suite(sf_dir: str) -> pa.Table:
     """Engine / governance / graph / linkage arms (query-performance
-    predictors, layout compare, checksums, k-anon family, SCC, upsert,
-    IVM, ...) in one tagged window slot — every arm DuckDB
-    hash-matched."""
+    predictors, layout compare, checksums, k-anon family, link
+    prediction, upsert, IVM, ...) in one tagged window slot — every
+    arm DuckDB hash-matched."""
     return _rel_suite_table(sf_dir, "engine_suite")
 
 
@@ -4002,7 +3857,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bounce_rate": _q_bounce_rate,
         "sliding_distinct_users": _q_sliding_distinct,
         "knn_classify": _q_knn_classify,
-        "dtw_profiles": _q_dtw_profiles,
         "t_closeness": _q_t_closeness,
         "porter_searchafter_topk": _q_porter_searchafter_topk,
         "porter_convscope_topk": _q_porter_convscope_topk,
@@ -4011,7 +3865,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "moving_median_daily": _q_moving_median_daily,
         "hbos_outliers": _q_hbos_outliers,
         "isotonic_hourly": _q_isotonic_hourly,
-        "huffman_codes": _q_huffman_codes,
         "feature_hash_vectors": _q_feature_hash_vectors,
         "upsert_merge": _q_upsert_merge,
         "ivm_distinct_retract": _q_ivm_distinct_retract,
@@ -4024,21 +3877,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "media_audio_frames": _q_media_audio_frames,
         "media_wav_frames": _q_media_wav_frames,
         "quantile_normalize": _q_quantile_normalize,
-        "bitvector_rank_select": _q_bitvector_rank_select,
-        "support_points": _q_support_points,
-        "activity_selection": _q_activity_selection,
-        "temporal_reachability": _q_temporal_reachability,
-        "greedy_set_cover": _q_greedy_set_cover,
         "porter_gapphrase": _q_porter_gapphrase,
-        "lcs_pairs": _q_lcs_pairs,
-        "source_shapley": _q_source_shapley,
-        "stable_matching": _q_stable_matching,
-        "knapsack_select": _q_knapsack_select,
-        "lis_per_user": _q_lis_per_user,
-        "ef_gamma_audit": _q_ef_gamma_audit,
-        "weighted_interval_schedule": _q_weighted_interval_schedule,
-        "absorption_probability": _q_absorption_probability,
-        "border_per_user": _q_border_per_user,
         "twap_daily": _q_twap_daily,
         "adamic_adar": _q_adamic_adar,
         "dp_event_counts": _q_dp_event_counts,
@@ -4896,49 +4735,9 @@ def oracle_sql() -> dict[str, str]:
         "quantile_normalize": __import__(
             "rayse.ops.qnorm",
             fromlist=["x"]).quantile_normalize_sql(),
-        "bitvector_rank_select": __import__(
-            "rayse.ops.succinct",
-            fromlist=["x"]).bitvector_rank_select_sql(),
-        "support_points": __import__(
-            "rayse.ops.succinct",
-            fromlist=["x"]).support_points_sql(),
-        "activity_selection": __import__(
-            "rayse.ops.activity",
-            fromlist=["x"]).activity_selection_sql(),
-        "temporal_reachability": __import__(
-            "rayse.ops.temporal",
-            fromlist=["x"]).temporal_reachability_sql(),
-        "greedy_set_cover": __import__(
-            "rayse.ops.setcover",
-            fromlist=["x"]).greedy_set_cover_sql(),
         "porter_gapphrase": __import__(
             "rayse.ops.porter_oracle",
             fromlist=["x"]).porter_gapphrase_sql(),
-        "lcs_pairs": __import__(
-            "rayse.ops.lcs", fromlist=["x"]).lcs_pairs_sql(),
-        "source_shapley": __import__(
-            "rayse.ops.shapley",
-            fromlist=["x"]).source_shapley_sql(),
-        "stable_matching": __import__(
-            "rayse.ops.stable",
-            fromlist=["x"]).stable_matching_sql(),
-        "knapsack_select": __import__(
-            "rayse.ops.knapsack",
-            fromlist=["x"]).knapsack_select_sql(),
-        "lis_per_user": __import__(
-            "rayse.ops.lis", fromlist=["x"]).lis_per_user_sql(),
-        "ef_gamma_audit": __import__(
-            "rayse.ops.eliasfano",
-            fromlist=["x"]).ef_gamma_audit_sql(),
-        "weighted_interval_schedule": __import__(
-            "rayse.ops.wis",
-            fromlist=["x"]).weighted_interval_schedule_sql(),
-        "absorption_probability": __import__(
-            "rayse.ops.absorb",
-            fromlist=["x"]).absorption_probability_sql(),
-        "border_per_user": __import__(
-            "rayse.ops.border",
-            fromlist=["x"]).border_per_user_sql(),
         "porter_convscope_topk": __import__(
             "rayse.ops.porter_oracle",
             fromlist=["x"]).porter_convscope_sql(),
@@ -5092,8 +4891,6 @@ def oracle_sql() -> dict[str, str]:
             fromlist=["x"]).sliding_distinct_users_sql(),
         "knn_classify": __import__(
             "rayse.ops.knn", fromlist=["x"]).knn_classify_sql(),
-        "dtw_profiles": __import__(
-            "rayse.ops.dtw", fromlist=["x"]).dtw_profiles_sql(),
         "t_closeness": __import__(
             "rayse.ops.datachecks",
             fromlist=["x"]).t_closeness_sql(),
@@ -5110,8 +4907,6 @@ def oracle_sql() -> dict[str, str]:
         "isotonic_hourly": __import__(
             "rayse.ops.isotonic",
             fromlist=["x"]).isotonic_hourly_sql(),
-        "huffman_codes": __import__(
-            "rayse.ops.huffman", fromlist=["x"]).huffman_codes_sql(),
         "feature_hash_vectors": __import__(
             "rayse.ops.fhash",
             fromlist=["x"]).feature_hash_vectors_sql(),

@@ -78,36 +78,23 @@ def exchange_by_key(ds, key_cols, proc, *, n_parts: int | None = None,
 
     tmp = os.path.join(
         tmp_root, f"rayse_xchg_{os.getpid()}_{uuid.uuid4().hex[:8]}")
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        cols = [batch[c].to_numpy(zero_copy_only=False) for c in key_cols]
-        return batch.append_column(
-            "_part", pa.array(partition_of(cols, n_parts), pa.int64()))
-
-    schema = ds.schema()
-    ds.map_batches(stamp, batch_format="pyarrow",
-                   zero_copy_batch=True).write_parquet(
-        tmp, partition_cols=["_part"])
-
-    names = list(schema.names)
-    try:
-        arrow_schema = pa.schema(list(zip(schema.names, schema.types)))
-    except Exception:        # non-arrow-typed schema: let proc see raw reads
-        arrow_schema = None
+    _spill_by_key(ds, key_cols, n_parts, tmp)
 
     part_dirs = sorted(glob.glob(os.path.join(tmp, "_part=*")))
     if not part_dirs:
+        schema = _spill_schema(tmp, ds)
         shutil.rmtree(tmp, ignore_errors=True)
-        empty = (pa.table({n: [] for n in names}, schema=arrow_schema)
-                 if arrow_schema is not None else pa.table({}))
+        empty = (schema.empty_table() if schema is not None
+                 else pa.table({}))
         return rd.from_arrow(proc(empty, **kw))
 
     @ray.remote
     def run_part(d: str) -> pa.Table:
         import pyarrow.dataset as pads
 
-        t = pads.dataset(d).to_table(columns=names, use_threads=False)
-        return proc(t, **kw)
+        # the spill files hold exactly ds's columns (``_part`` lives
+        # only in the directory name)
+        return proc(pads.dataset(d).to_table(use_threads=False), **kw)
 
     refs = [run_part.remote(d) for d in part_dirs]
     ray.wait(refs, num_returns=len(refs), fetch_local=False)
@@ -127,6 +114,25 @@ def _spill_by_key(ds, key_cols: list, n_parts: int, tmp: str) -> None:
     ds.map_batches(stamp, batch_format="pyarrow",
                    zero_copy_batch=True).write_parquet(
         tmp, partition_cols=["_part"])
+
+
+def _spill_schema(tmp: str, ds) -> pa.Schema | None:
+    """Arrow schema of ``ds`` as spilled to ``tmp``, read from one spill
+    file (None if not Arrow-typed). ``ds.schema()`` is asked only of a
+    spill with no file, a Dataset with no rows: on a lazy Dataset it runs
+    ``limit(1)`` and cancels the map tasks still in flight, and on Ray
+    2.49.2 that cancellation can race a task's completion and abort the
+    driver (``task_manager.cc:930``)."""
+    import pyarrow.parquet as pq
+
+    files = glob.glob(os.path.join(tmp, "_part=*", "*.parquet"))
+    if files:
+        return pq.read_schema(files[0]).remove_metadata()
+    schema = ds.schema()
+    try:
+        return pa.schema(list(zip(schema.names, schema.types)))
+    except Exception:
+        return None
 
 
 def hash_join(left_ds, right_ds, left_on, right_on, *,
@@ -156,12 +162,10 @@ def hash_join(left_ds, right_ds, left_on, right_on, *,
     base = os.path.join(
         tmp_root, f"rayse_join_{os.getpid()}_{uuid.uuid4().hex[:8]}")
     ltmp, rtmp = os.path.join(base, "l"), os.path.join(base, "r")
-    lschema = pa.schema(list(zip(left_ds.schema().names,
-                                 left_ds.schema().types)))
-    rschema = pa.schema(list(zip(right_ds.schema().names,
-                                 right_ds.schema().types)))
     _spill_by_key(left_ds, left_on, n_parts, ltmp)
     _spill_by_key(right_ds, right_on, n_parts, rtmp)
+    lschema = _spill_schema(ltmp, left_ds)
+    rschema = _spill_schema(rtmp, right_ds)
 
     def part_ids(tmp: str) -> set:
         return {int(os.path.basename(d).split("=")[1])

@@ -148,11 +148,14 @@ def _close_partition(tbl: pa.Table) -> pa.Table:
     # membership: (wb, wc) in sorted (eb, ec)
     closed = np.zeros(wb.size, dtype=bool)
     if eb.size and wb.size:
-        # packed-key membership; node ids must fit 32 bits (demo space
-        # is 200 — at larger id spaces switch to a lexsorted 2-column
-        # searchsorted)
-        if max(int(ec.max()), int(wc.max() if wc.size else 0)) >= 2 ** 32:
-            raise ValueError("triangle closing assumes node ids < 2^32")
+        # packed-key membership; every b and c must lie in [0, 2^32) or
+        # two pairs share a key (demo space is 200 — at larger id
+        # spaces switch to a lexsorted 2-column searchsorted)
+        ids = (eb, ec, wb, wc)
+        if min(int(x.min()) for x in ids) < 0 or \
+                max(int(x.max()) for x in ids) >= 2 ** 32:
+            raise ValueError("triangle closing assumes node ids in "
+                             "[0, 2^32)")
         key_e = (eb.astype(np.uint64) << np.uint64(32)) | \
             ec.astype(np.uint64)
         key_w = (wb.astype(np.uint64) << np.uint64(32)) | \

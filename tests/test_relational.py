@@ -379,3 +379,38 @@ def test_hash_join_outer_semi_anti(ray_session):
         got = got[cols].sort_values(cols).reset_index(drop=True)
         want = want.sort_values(cols).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want)
+
+
+def test_exchange_takes_schema_from_spill(ray_session, monkeypatch):
+    """Neither exchange asks a Dataset with rows for ``schema()``: on a
+    lazy Dataset that runs ``limit(1)``, whose cancellation of in-flight
+    map tasks can abort the Ray 2.49.2 driver. A Dataset with no rows
+    still hands ``proc`` an empty table of its columns."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rayse.ops.exchange import exchange_by_key, hash_join
+
+    left = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                     "lv": pa.array(["a", "b", "c"], pa.string())})
+    right = pa.table({"k2": pa.array([2, 3, 9], pa.int64()),
+                      "rv": pa.array([20, 30, 90], pa.int64())})
+    lds, rds = rd.from_arrow(left), rd.from_arrow(right)
+
+    def no_schema(*_a, **_k):
+        raise AssertionError("schema() asked of a Dataset with rows")
+
+    monkeypatch.setattr(lds, "schema", no_schema)
+    monkeypatch.setattr(rds, "schema", no_schema)
+    got = exchange_by_key(lds, "k", lambda t: t, n_parts=4)
+    assert sorted(got.to_pandas()["k"]) == [1, 2, 3]
+    joined = hash_join(lds, rds, "k", "k2", join_type="left outer",
+                       n_parts=4)
+    assert sorted(joined.to_pandas()["k"]) == [1, 2, 3]
+
+    seen = []
+    empty = exchange_by_key(rd.from_arrow(left.slice(0, 0)), "k",
+                            lambda t: seen.append(t.schema) or t,
+                            n_parts=4)
+    assert empty.count() == 0
+    assert seen == [left.schema]

@@ -62,6 +62,23 @@ def test_triangle_counts_brute_force(ray_session):
         assert got.loc[v, "deg"] == len(adj[v]), v
 
 
+def test_close_partition_rejects_ids_outside_32_bits():
+    """A negative id would alias another packed (b, c) key: the edge
+    (-1, 5) shares its key with the wedge (3; 2^32 - 1, 5) and would
+    close a triangle that does not exist."""
+    import pyarrow as pa
+    import pytest
+
+    from rayse.ops.triangles import _close_partition
+
+    tbl = pa.table({"b": pa.array([-1, 2 ** 32 - 1], pa.int64()),
+                    "c": pa.array([5, 5], pa.int64()),
+                    "a": pa.array([-1, 3], pa.int64()),
+                    "kind": pa.array([0, 1], pa.int64())})
+    with pytest.raises(ValueError, match="node ids"):
+        _close_partition(tbl)
+
+
 def test_triangle_counts_blocksize_invariant(ray_session):
     """Edge canonicalization + wedge exchanges are batch-boundary
     independent."""
