@@ -1535,61 +1535,8 @@ def _q_benford_digits(sf_dir: str) -> pa.Table:
     return benford_digits(sf_dir)
 
 
-def _q_theil_sen(sf_dir: str) -> pa.Table:
-    """Theil-Sen robust trend of the hourly mean-value profile: 100 TB
-    folds to 24 (hour, n, Σcents) partials; the robust line runs
-    driver-side on that bounded profile; medians are LOWER order
-    statistics (pure selection, no interpolation ulp split) — DuckDB
-    hash-matched. Also a stats_suite arm."""
-    from rayse.ops.corr import theil_sen_hourly
-
-    return theil_sen_hourly(sf_dir)
 
 
-def _q_mann_kendall(sf_dir: str) -> pa.Table:
-    """Mann-Kendall monotone-trend test (tie-corrected variance,
-    continuity-corrected z) over the same bounded hourly profile —
-    DuckDB hash-matched. Also a stats_suite arm."""
-    from rayse.ops.corr import mann_kendall_hourly
-
-    return mann_kendall_hourly(sf_dir)
-
-
-def _q_psi_drift(sf_dir: str) -> pa.Table:
-    """Population-stability-index drift between the even-day and
-    odd-day value histograms (row-local slice split — no global pass),
-    per-bucket PSI quantized before any cross-bucket sum — DuckDB
-    hash-matched. Also a stats_suite arm."""
-    from rayse.ops.kstest import psi_drift
-
-    return psi_drift(sf_dir)
-
-
-def _q_spearman(sf_dir: str) -> pa.Table:
-    """Exact Spearman rho (average-tie ranks) between cents-quantized
-    value and hour-of-day off ONE bounded joint-histogram fold —
-    DuckDB hash-matched against the window-rank corr() oracle."""
-    from rayse.ops.rankstats import spearman_value_hour
-
-    return spearman_value_hour(sf_dir)
-
-
-def _q_kendall(sf_dir: str) -> pa.Table:
-    """Exact Kendall tau-b (value vs hour) with histogram-pair
-    concordance counting — zero row-pairs, DuckDB hash-matched against
-    the cell-pair inequality-join oracle."""
-    from rayse.ops.rankstats import kendall_value_hour
-
-    return kendall_value_hour(sf_dir)
-
-
-def _q_kruskal(sf_dir: str) -> pa.Table:
-    """Tie-corrected Kruskal-Wallis H across event types on pooled
-    cents ranks, Fraction-exact final divisions — DuckDB
-    hash-matched."""
-    from rayse.ops.rankstats import kruskal_wallis_types
-
-    return kruskal_wallis_types(sf_dir)
 
 
 def _q_jw_name_pairs(sf_dir: str) -> pa.Table:
@@ -1667,14 +1614,6 @@ def _q_hilbert_rank(sf_dir: str) -> "pa.Table":
     return hilbert_rank(sf_dir)
 
 
-def _q_cov_matrix(sf_dir: str) -> pa.Table:
-    """Exact population covariance matrix over lineitem's four numeric
-    columns: one streaming moment-partial pass, bigint driver fold,
-    truncating milli quantization — DuckDB hash-matched against the
-    HUGEINT oracle."""
-    from rayse.ops.covmatrix import cov_matrix
-
-    return cov_matrix(sf_dir)
 
 
 def _q_scd2_intervals(sf_dir: str) -> pa.Table:
@@ -1686,12 +1625,6 @@ def _q_scd2_intervals(sf_dir: str) -> pa.Table:
     return scd2_intervals(sf_dir)
 
 
-def _q_mode_value(sf_dir: str) -> pa.Table:
-    """Most frequent cents value per event type off the bounded joint
-    histogram, smallest-cents tie-break — DuckDB hash-matched."""
-    from rayse.ops.rankstats import mode_value_per_type
-
-    return mode_value_per_type(sf_dir)
 
 
 def _q_xcorr_hourly(sf_dir: str) -> pa.Table:
@@ -1784,13 +1717,6 @@ def _q_er_clusters(sf_dir: str) -> pa.Table:
     return er_clusters(sf_dir)
 
 
-def _q_mutual_information(sf_dir: str) -> pa.Table:
-    """Mutual information (and normalized MI) between event type and
-    hour-of-day off one bounded joint-histogram fold — DuckDB-matched
-    within float tolerance."""
-    from rayse.ops.rankstats import mutual_information_type_hour
-
-    return mutual_information_type_hour(sf_dir)
 
 
 def _q_max_concurrent(sf_dir: str) -> pa.Table:
@@ -1854,12 +1780,6 @@ def _q_sliding_distinct(sf_dir: str) -> pa.Table:
     return sliding_distinct_users(sf_dir)
 
 
-def _q_knn_classify(sf_dir: str) -> pa.Table:
-    """k-NN majority-label classification on integer-quantized L2
-    distances with per-batch partial top-k — DuckDB hash-matched."""
-    from rayse.ops.knn import knn_classify
-
-    return knn_classify(sf_dir)
 
 
 def _q_t_closeness(sf_dir: str) -> pa.Table:
@@ -1888,13 +1808,6 @@ def _q_porter_gapphrase(sf_dir: str) -> pa.Table:
     return porter_gapphrase_matches(_index_for(sf_dir))
 
 
-def _q_quantile_normalize(sf_dir: str) -> pa.Table:
-    """Quantile normalization: per-source rank map onto the global
-    distribution via cross-multiplied CDF matching (no division) —
-    DuckDB hash-matched."""
-    from rayse.ops.qnorm import quantile_normalize
-
-    return quantile_normalize(sf_dir)
 
 
 def _q_media_wav_frames(sf_dir: str):
@@ -1916,30 +1829,8 @@ def _q_media_audio_frames(sf_dir: str):
     return media_audio_frames(sf_dir)
 
 
-def _q_conformal_intervals(sf_dir: str) -> pa.Table:
-    """Split conformal prediction: exact finite-sample rank quantile
-    of |value − calibration median| per type, test coverage in ppm —
-    DuckDB hash-matched."""
-    from rayse.ops.conformal import conformal_intervals
-
-    return conformal_intervals(sf_dir)
 
 
-def _q_mutual_knn_pairs(sf_dir: str) -> pa.Table:
-    """Mutual-kNN graph edges over quantized-L2 neighbours (the
-    clustering graph-construction step) — DuckDB hash-matched."""
-    from rayse.ops.conformal import mutual_knn_pairs
-
-    return mutual_knn_pairs(sf_dir)
-
-
-def _q_bootstrap_resamples(sf_dir: str) -> pa.Table:
-    """Poisson bootstrap (Chamandy et al. 2012): row-local exact
-    inverse-CDF multiplicities from hard-coded integer Poisson(1)
-    thresholds — DuckDB hash-matched."""
-    from rayse.ops.bootstrap import bootstrap_resamples
-
-    return bootstrap_resamples(sf_dir)
 
 
 def _q_ivm_distinct_retract(sf_dir: str) -> pa.Table:
@@ -1968,31 +1859,8 @@ def _q_upsert_merge(sf_dir: str) -> pa.Table:
     return upsert_merge(sf_dir)
 
 
-def _q_isotonic_hourly(sf_dir: str) -> pa.Table:
-    """Isotonic (monotone) fit of hourly mean value via the exact
-    max-min closed form — floor commutes with max/min, so the
-    quantized fit is bit-exact in both engines — DuckDB
-    hash-matched."""
-    from rayse.ops.isotonic import isotonic_hourly
-
-    return isotonic_hourly(sf_dir)
 
 
-def _q_moving_median_daily(sf_dir: str) -> pa.Table:
-    """Trailing-7-row doubled median of daily revenue per type (grid
-    fold first, frame walk on the bounded grid) — DuckDB
-    hash-matched."""
-    from rayse.ops.movmed import moving_median_daily
-
-    return moving_median_daily(sf_dir)
-
-
-def _q_hbos_outliers(sf_dir: str) -> pa.Table:
-    """HBOS outlier top-k: integer inverse-density sum over two
-    broadcast feature histograms — DuckDB hash-matched."""
-    from rayse.ops.movmed import hbos_outliers
-
-    return hbos_outliers(sf_dir)
 
 
 def _q_gazetteer_tags(sf_dir: str) -> pa.Table:
@@ -2004,12 +1872,6 @@ def _q_gazetteer_tags(sf_dir: str) -> pa.Table:
     return gazetteer_tags(sf_dir)
 
 
-def _q_tree_depth2(sf_dir: str) -> pa.Table:
-    """Greedy depth-2 decision tree off ONE joint domain-bounded
-    histogram (hist-mode trainer) — DuckDB hash-matched."""
-    from rayse.ops.stump import tree_depth2
-
-    return tree_depth2(sf_dir)
 
 
 def _q_twap_daily(sf_dir: str) -> pa.Table:
@@ -2464,10 +2326,8 @@ def _q_pca_project(sf_dir: str) -> pa.Table:
 def _q_quantile_suite(sf_dir: str) -> pa.Table:
     """The scalar summary-statistics machineries — the bounded-domain
     histogram with driver fold (corpus token counts), the grouped
-    in-partition quantile fold (per-type event values), the grouped
-    integer co-moment correlation, the row-level z-score
-    standardization, the pairwise audience-overlap matrix, the grouped OLS regression
-    (shared co-moment fold), the per-column dataset profile, the
+    in-partition quantile fold (per-type event values), the pairwise
+    audience-overlap matrix, the per-column dataset profile, the
     bounded-domain percentile ranks, the per-term BM25 score
     explanation, the integer Gram-matrix PCA projection, and the
     per-conversation stats + index-derived TF-IDF keywords — tagged
@@ -2483,16 +2343,6 @@ def _q_quantile_suite(sf_dir: str) -> pa.Table:
     })
     ev = _as_table(_q_event_quantiles(sf_dir)).rename_columns(
         ["key", "p_label", "v"])
-    co = _as_table(_q_corr_value_hour(sf_dir))
-    co = pa.table({
-        "key": co["event_type"],
-        "p_label": pa.array(["r"] * co.num_rows, pa.string()),
-        "v": co["r_q"]})
-    zs = _as_table(_q_value_zscores(sf_dir))
-    zs = pa.table({
-        "key": pc.cast(zs["event_id"], pa.string()),
-        "p_label": pa.array(["z"] * zs.num_rows, pa.string()),
-        "v": zs["z_q"]})
     ch = _as_table(_q_cohort_overlap(sf_dir))
     chkey = pc.binary_join_element_wise(ch["type_a"], ch["type_b"], "|")
     chparts = []
@@ -2501,11 +2351,6 @@ def _q_quantile_suite(sf_dir: str) -> pa.Table:
             "key": chkey,
             "p_label": pa.array([m] * ch.num_rows, pa.string()),
             "v": ch[m]}))
-    ols = _as_table(_q_regress_value_hour(sf_dir))
-    oparts = [pa.table({
-        "key": ols["event_type"],
-        "p_label": pa.array([m] * ols.num_rows, pa.string()),
-        "v": ols[m]}) for m in ("slope_q", "icept_q")]
     pr = _as_table(_q_profile_events(sf_dir)).rename_columns(
         ["key", "p_label", "v"])
     tp = _as_table(_q_token_count_pct(sf_dir))
@@ -2600,10 +2445,7 @@ def _q_quantile_suite(sf_dir: str) -> pa.Table:
                           ("cusum", pa.concat_tables(cuparts)),
                           ("checks", pa.concat_tables(dcparts)),
                           ("mix", pa.concat_tables(mxparts)),
-                          ("corr", co),
-                          ("zscore", zs),
                           ("cohort", pa.concat_tables(chparts)),
-                          ("ols", pa.concat_tables(oparts)),
                           ("profile", pr),
                           ("tokpct", pa.concat_tables(tparts)),
                           ("explain", pa.concat_tables(exparts)),
@@ -2738,13 +2580,6 @@ def _q_profile_events(sf_dir: str) -> pa.Table:
     return profile_events(sf_dir)
 
 
-def _q_regress_value_hour(sf_dir: str) -> pa.Table:
-    """Grouped OLS regression (value cents on hour-of-day per type):
-    slope and intercept as exact rationals over the shared integer
-    co-moment fold — DuckDB hash-matched."""
-    from rayse.ops.corr import regress_value_on_hour
-
-    return regress_value_on_hour(sf_dir)
 
 
 def _q_cohort_overlap(sf_dir: str) -> pa.Table:
@@ -2794,22 +2629,8 @@ def _q_query_analysis(sf_dir: str) -> pa.Table:
     return query_analysis()
 
 
-def _q_value_zscores(sf_dir: str) -> pa.Table:
-    """Row-level per-type z-score standardization (two-pass co-moment
-    aggregate broadcast back to rows; int64 numerator, one sqrt per
-    type) — DuckDB hash-matched."""
-    from rayse.ops.corr import value_zscores
-
-    return value_zscores(sf_dir)
 
 
-def _q_corr_value_hour(sf_dir: str) -> pa.Table:
-    """Grouped Pearson correlation (value cents x hour-of-day per
-    event_type): integer co-moment partials -> one exchange -> three
-    quantized float ops per output row — DuckDB hash-matched."""
-    from rayse.ops.corr import corr_value_hour
-
-    return corr_value_hour(sf_dir)
 
 
 def _q_pack_sequences(sf_dir: str):
@@ -2907,14 +2728,6 @@ def _q_frequent_pairs(sf_dir: str) -> pa.Table:
     return frequent_pairs(sf_dir)
 
 
-def _q_chi2_term_source(sf_dir: str) -> pa.Table:
-    """(term, source, n_docs, chi2_q): exact floored-rational chi-square
-    term-source association (feature selection) — DuckDB hash-matched
-    against the HUGEINT contingency oracle. Also a stats_suite arm
-    in the driver window."""
-    from rayse.ops.featsel import chi2_term_source
-
-    return chi2_term_source(sf_dir)
 
 
 def _q_burst_stats(sf_dir: str) -> pa.Table:
@@ -3022,22 +2835,6 @@ def _q_gini_skew(sf_dir: str) -> pa.Table:
     return gini_skew(sf_dir)
 
 
-def _q_ks_pairs(sf_dir: str) -> pa.Table:
-    """(type_a, type_b, n_a, n_b, ks_ppm): exact two-sample KS distance
-    per event-type pair (cross-multiplied integer CDFs, one histogram
-    fold) — DuckDB hash-matched."""
-    from rayse.ops.kstest import ks_pairs
-
-    return ks_pairs(sf_dir)
-
-
-def _q_mwu_pairs(sf_dir: str) -> pa.Table:
-    """(type_a, type_b, u2, auc_ppm): exact doubled Mann-Whitney U and
-    AUC estimate per event-type pair, same histogram fold as ks_pairs
-    — DuckDB hash-matched."""
-    from rayse.ops.kstest import mwu_pairs
-
-    return mwu_pairs(sf_dir)
 
 
 def _q_dedup_report(sf_dir: str) -> pa.Table:
@@ -3129,15 +2926,6 @@ def _q_l_diversity(sf_dir: str) -> pa.Table:
     return l_diversity(sf_dir)
 
 
-def _q_perceptron_train(sf_dir: str) -> pa.Table:
-    """(d, w): batch-perceptron weights after 2 epochs (bias at d=-1,
-    final miscount at d=-2) — per-epoch broadcast weights + streaming
-    partial updates, integer-exact — DuckDB hash-matched against the
-    unrolled-epoch oracle. Also a stats_suite arm in the driver
-    window."""
-    from rayse.ops.perceptron import perceptron_train
-
-    return perceptron_train(sf_dir)
 
 
 def _q_link_predict_xchg(sf_dir: str) -> pa.Table:
@@ -3273,15 +3061,6 @@ def _q_bfs_hops(sf_dir: str) -> pa.Table:
     return bfs_hops_events(sf_dir)
 
 
-def _q_stump_fit(sf_dir: str) -> pa.Table:
-    """(threshold_cents, predict_above, n_correct, n_total, acc_ppm):
-    exact 1R decision stump on value predicting the purchase label —
-    bounded-histogram fold + driver cumulative scan — DuckDB
-    hash-matched against the window-cumulative argmax oracle. Also a
-    stats_suite arm in the driver window."""
-    from rayse.ops.stump import stump_fit
-
-    return stump_fit(sf_dir)
 
 
 def _q_k_anonymity(sf_dir: str) -> pa.Table:
@@ -3388,13 +3167,10 @@ def _sqlmod(name: str):
 
 
 _REL_MELT_ARMS = {
-    # --- statistics / timeseries / ML ---
+    # --- statistics / timeseries / sampling ---
     "coverage": (_q_interval_coverage, ("user_id",),
                  ("n_islands", "covered_us", "max_island_us"),
                  lambda: _sqlmod("intervals").INTERVAL_COVERAGE_SQL),
-    "chi2": (_q_chi2_term_source, ("term", "source"),
-             ("n_docs", "chi2_q"),
-             lambda: _sqlmod("featsel").chi2_term_source_sql()),
     "bursts": (_q_burst_stats, ("event_type",),
                ("n_bursts", "burst_hours", "max_burst"),
                lambda: _sqlmod("bursts").BURST_STATS_SQL),
@@ -3405,9 +3181,6 @@ _REL_MELT_ARMS = {
               lambda: _sqlmod("seqmine").top_paths_sql()),
     "assort": (_q_degree_assortativity, ("scope",), ("n_edges", "r_q"),
                lambda: _sqlmod("graph").degree_assortativity_sql()),
-    "stump": (_q_stump_fit, ("threshold_cents", "predict_above"),
-              ("n_correct", "n_total", "acc_ppm"),
-              lambda: _sqlmod("stump").stump_fit_sql()),
     "ewma": (_q_ewma_hourly, ("event_type", "hr"), ("ewma_fp",),
              lambda: _sqlmod("bursts").ewma_hourly_sql()),
     "forecast": (_q_forecast_eval, ("event_type",),
@@ -3416,14 +3189,6 @@ _REL_MELT_ARMS = {
     "benford": (_q_benford_digits, ("digit",),
                 ("n", "observed_ppm", "expected_ppm"),
                 lambda: _sqlmod("datachecks").benford_digits_sql()),
-    "theilsen": (_q_theil_sen, ("n_hours",),
-                 ("n_pairs", "slope_q", "intercept_q"),
-                 lambda: _sqlmod("corr").theil_sen_hourly_sql()),
-    "mannkendall": (_q_mann_kendall, ("n_points",),
-                    ("s_stat", "n_tie_groups", "z_q"),
-                    lambda: _sqlmod("corr").mann_kendall_hourly_sql()),
-    "psi": (_q_psi_drift, ("bucket",), ("n_a", "n_b", "psi_q"),
-            lambda: _sqlmod("kstest").psi_drift_sql()),
     "dp": (_q_dp_event_counts, ("event_type",), ("n", "noisy_milli"),
            lambda: _sqlmod("datachecks").dp_event_counts_sql()),
     "twap": (_q_twap_daily, ("event_type", "day"),
@@ -3435,8 +3200,6 @@ _REL_MELT_ARMS = {
     "holt": (_q_holt_hourly, ("event_type", "hr"),
              ("level_fp", "trend_fp"),
              lambda: _sqlmod("bursts").holt_hourly_sql()),
-    "kendall": (_q_kendall, ("n",), ("concordant", "discordant"),
-                lambda: _sqlmod("rankstats").kendall_value_hour_sql()),
     "cumusers": (_q_cumulative_users, ("day",),
                  ("new_users", "cum_users"),
                  lambda: _sqlmod("attribution").cumulative_users_daily_sql()),
@@ -3446,39 +3209,14 @@ _REL_MELT_ARMS = {
     "xcorr": (_q_xcorr_hourly, ("type_a", "type_b"),
               ("lag", "dot", "n_terms"),
               lambda: _sqlmod("bursts").xcorr_hourly_sql()),
-    "mode": (_q_mode_value, ("event_type",), ("mode_cents", "n_mode"),
-             lambda: _sqlmod("rankstats").mode_value_per_type_sql()),
     "ttc": (_q_time_to_convert, ("n_conv",),
             ("n_attr", "median_s", "p90_s"),
             lambda: _sqlmod("attribution").time_to_convert_sql()),
-    "cov": (_q_cov_matrix, ("col_a", "col_b"), ("n", "cov_milli"),
-            lambda: _sqlmod("covmatrix").cov_matrix_sql()),
-    "knn": (_q_knn_classify, ("q_id",),
-            ("pred_label", "votes", "kth_dist"),
-            lambda: _sqlmod("knn").knn_classify_sql()),
     "tclose": (_q_t_closeness, ("event_type", "hour"), ("n", "emd_ppm"),
                lambda: _sqlmod("datachecks").t_closeness_sql()),
-    "tree2": (_q_tree_depth2, ("node", "feature"),
-              ("threshold", "predict_above", "n_correct", "n_node",
-               "acc_ppm"),
-              lambda: _sqlmod("stump").tree_depth2_sql()),
-    "movmed": (_q_moving_median_daily, ("event_type", "day"),
-               ("rev_cents", "med2_cents"),
-               lambda: _sqlmod("movmed").moving_median_daily_sql()),
-    "hbos": (_q_hbos_outliers, ("event_id",), ("score_ppm",),
-             lambda: _sqlmod("movmed").hbos_outliers_sql()),
-    "isotonic": (_q_isotonic_hourly, ("hour",), ("n", "mean_q", "fit_q"),
-                 lambda: _sqlmod("isotonic").isotonic_hourly_sql()),
-    "boot": (_q_bootstrap_resamples, ("b",), ("n", "sum_cents"),
-             lambda: _sqlmod("bootstrap").bootstrap_resamples_sql()),
     "kfold": (_q_group_kfold, ("fold",),
               ("n_users", "n_events", "n_straddle"),
               lambda: _sqlmod("kfold").group_kfold_sql()),
-    "conformal": (_q_conformal_intervals, ("event_type",),
-                  ("n_cal", "n_test", "q_cents", "covered_ppm"),
-                  lambda: _sqlmod("conformal").conformal_intervals_sql()),
-    "perceptron": (_q_perceptron_train, ("d",), ("w",),
-                   lambda: _sqlmod("perceptron").perceptron_train_sql()),
     "mixture": (_q_mixture_epochs, ("doc_id", "lang"), ("n_repeats",),
                 lambda: _sqlmod("sampling").mixture_epochs_sql()),
     "dsir": (_q_dsir_weights, ("doc_id",), ("w_q",),
@@ -3531,8 +3269,6 @@ _REL_MELT_ARMS = {
             lambda: _sqlmod("gazetteer").gazetteer_tags_sql()),
     "fhash": (_q_feature_hash_vectors, ("doc_id", "bucket"), ("val",),
               lambda: _sqlmod("fhash").feature_hash_vectors_sql()),
-    "mknn": (_q_mutual_knn_pairs, ("a",), ("b",),
-             lambda: _sqlmod("conformal").mutual_knn_pairs_sql()),
 }
 
 
@@ -3575,17 +3311,15 @@ _REL_SPECIAL_ARMS = {
 
 _REL_SUITE_TAGS = {
     "stats_suite": [
-        "coverage", "chi2", "bursts", "markov", "paths", "assort",
-        "stump", "ewma", "forecast", "benford", "theilsen",
-        "mannkendall", "psi", "dp", "twap", "ohlc", "holt", "kendall",
-        "cumusers", "ablift", "xcorr", "mode", "ttc", "cov", "knn",
-        "tclose", "tree2", "movmed", "hbos", "isotonic", "boot",
-        "kfold", "conformal", "perceptron", "mixture", "dsir"],
+        "coverage", "bursts", "markov", "paths", "assort", "ewma",
+        "forecast", "benford", "dp", "twap", "ohlc", "holt",
+        "cumusers", "ablift", "xcorr", "ttc", "tclose", "kfold",
+        "mixture", "dsir"],
     "engine_suite": [
         "qpp", "skyline", "pairs", "fs", "kanon", "checksum",
         "zonemap", "ckdiff", "churn", "fk", "linkpred", "ldiv",
         "phrasesel", "layout", "adamic", "mediadedup", "trigcos",
-        "upsert", "ivm", "gaz", "fhash", "mknn"],
+        "upsert", "ivm", "gaz", "fhash"],
 }
 # every registry tag appears in exactly one themed suite, none > 40 arms
 assert sorted(t for ts in _REL_SUITE_TAGS.values() for t in ts) \
@@ -3619,10 +3353,10 @@ def _rel_suite_sql(suite: str) -> str:
 
 
 def _q_stats_suite(sf_dir: str) -> pa.Table:
-    """Statistics / timeseries / ML arms (trend + drift tests, OHLC,
-    EWMA/Holt forecasting, conformal, trees, k-fold, DSIR + mixing
-    plans, ...) in one tagged window slot — every arm DuckDB
-    hash-matched."""
+    """Statistics / timeseries / sampling arms (bursts, Markov paths,
+    OHLC, EWMA/Holt forecasting, Benford and DP counts, A/B lift,
+    k-fold, DSIR + mixing plans, ...) in one tagged window slot — every
+    arm DuckDB hash-matched."""
     return _rel_suite_table(sf_dir, "stats_suite")
 
 
@@ -3694,7 +3428,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     triangles + BFS + Bellman-Ford), and
     ``stats_suite`` / ``engine_suite``, which between them run every
     ``_REL_SUITE_TAGS`` arm once. An entry whose builder is such an arm
-    (``mixture_epochs``, ``stump_fit``, ...) therefore sits below the
+    (``mixture_epochs``, ``ohlc_daily``, ...) therefore sits below the
     window, with the individual variants (still runnable, still
     pytest-pinned at sf0.001)."""
     return {
@@ -3800,14 +3534,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "triangle_counts": _q_triangle_counts,
         "kn_bigram_nll": _q_kn_bigram_nll,
         "exact_distinct": _q_exact_distinct,
-        "corr_value_hour": _q_corr_value_hour,
-        "value_zscores": _q_value_zscores,
         "query_analysis": _q_query_analysis,
         "ann_sq_topk": _q_ann_sq_topk,
         "porter_explain": _q_porter_explain,
         "token_count_pct": _q_token_count_pct,
         "cohort_overlap": _q_cohort_overlap,
-        "regress_value_hour": _q_regress_value_hour,
         "ppr_fixed": _q_ppr_fixed,
         "profile_events": _q_profile_events,
         "gram_matrix": _q_gram_matrix,
@@ -3824,9 +3555,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cori_shards": _q_cori_shards,
         "qpp_predictors": _q_qpp_predictors,
         "postings_remap": _q_postings_remap,
-        "spearman_value_hour": _q_spearman,
-        "kendall_value_hour": _q_kendall,
-        "kruskal_wallis": _q_kruskal,
         "jw_name_pairs": _q_jw_name_pairs,
         "ohlc_daily": _q_ohlc_daily,
         "zipf_slope": _q_zipf_slope,
@@ -3835,9 +3563,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "attribution_counts": _q_attribution,
         "cumulative_users": _q_cumulative_users,
         "hilbert_rank": _q_hilbert_rank,
-        "cov_matrix": _q_cov_matrix,
         "scd2_intervals": _q_scd2_intervals,
-        "mode_value": _q_mode_value,
         "xcorr_hourly": _q_xcorr_hourly,
         "powerlaw_alpha": _q_powerlaw_alpha,
         "time_to_convert": _q_time_to_convert,
@@ -3848,7 +3574,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fertility_by_lang": _q_fertility,
         "seq_patterns": _q_seq_patterns,
         "er_clusters": _q_er_clusters,
-        "mutual_information": _q_mutual_information,
         "max_concurrent": _q_max_concurrent,
         "pair_lift": _q_pair_lift,
         "ann_label_topk": _q_ann_label_topk,
@@ -3856,39 +3581,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "type_user_jaccard": _q_type_user_jaccard,
         "bounce_rate": _q_bounce_rate,
         "sliding_distinct_users": _q_sliding_distinct,
-        "knn_classify": _q_knn_classify,
         "t_closeness": _q_t_closeness,
         "porter_searchafter_topk": _q_porter_searchafter_topk,
         "porter_convscope_topk": _q_porter_convscope_topk,
         "gazetteer_tags": _q_gazetteer_tags,
-        "tree_depth2": _q_tree_depth2,
-        "moving_median_daily": _q_moving_median_daily,
-        "hbos_outliers": _q_hbos_outliers,
-        "isotonic_hourly": _q_isotonic_hourly,
         "feature_hash_vectors": _q_feature_hash_vectors,
         "upsert_merge": _q_upsert_merge,
         "ivm_distinct_retract": _q_ivm_distinct_retract,
-        "bootstrap_resamples": _q_bootstrap_resamples,
         "group_kfold": _q_group_kfold,
         "porter_synquery_topk": _q_porter_synquery_topk,
         "porter_lossynorm_topk": _q_porter_lossynorm_topk,
-        "conformal_intervals": _q_conformal_intervals,
-        "mutual_knn_pairs": _q_mutual_knn_pairs,
         "media_audio_frames": _q_media_audio_frames,
         "media_wav_frames": _q_media_wav_frames,
-        "quantile_normalize": _q_quantile_normalize,
         "porter_gapphrase": _q_porter_gapphrase,
         "twap_daily": _q_twap_daily,
         "adamic_adar": _q_adamic_adar,
         "dp_event_counts": _q_dp_event_counts,
         "benford_digits": _q_benford_digits,
-        "theil_sen": _q_theil_sen,
-        "mann_kendall": _q_mann_kendall,
-        "psi_drift": _q_psi_drift,
         "interval_coverage": _q_interval_coverage,
         "pareto_frontier": _q_pareto_frontier,
         "frequent_pairs": _q_frequent_pairs,
-        "chi2_term_source": _q_chi2_term_source,
         "burst_stats": _q_burst_stats,
         "markov_transitions": _q_markov_transitions,
         "top_paths": _q_top_paths,
@@ -3905,8 +3617,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rake_phrases": _q_rake_phrases,
         "edge_reciprocity": _q_edge_reciprocity,
         "gini_skew": _q_gini_skew,
-        "ks_pairs": _q_ks_pairs,
-        "mwu_pairs": _q_mwu_pairs,
         "dedup_report": _q_dedup_report,
         "nb_eval": _q_nb_eval,
         "grep_counts": _q_grep_counts,
@@ -3916,7 +3626,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "phrase_selectivity": _q_phrase_selectivity,
         "bellman_ford": _q_bellman_ford,
         "l_diversity": _q_l_diversity,
-        "perceptron_train": _q_perceptron_train,
         "link_predict": _q_link_predict,
         "link_predict_xchg": _q_link_predict_xchg,
         "forecast_eval": _q_forecast_eval,
@@ -3930,7 +3639,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "readability": _q_readability,
         "ewma_hourly": _q_ewma_hourly,
         "bfs_hops": _q_bfs_hops,
-        "stump_fit": _q_stump_fit,
         "k_anonymity": _q_k_anonymity,
         "key_set_ops": _q_key_set_ops,
         "haar_energy": _q_haar_energy,
@@ -4149,10 +3857,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.textstats", fromlist=["x"]).kn_bigram_nll_sql(),
         "exact_distinct": __import__(
             "rayse.ops.sketch", fromlist=["x"]).exact_distinct_sql(),
-        "corr_value_hour": __import__(
-            "rayse.ops.corr", fromlist=["x"]).CORR_VALUE_HOUR_SQL,
-        "value_zscores": __import__(
-            "rayse.ops.corr", fromlist=["x"]).VALUE_ZSCORES_SQL,
         "query_analysis": __import__(
             "rayse.ops.porter_oracle",
             fromlist=["x"]).query_analysis_sql(),
@@ -4165,9 +3869,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.textstats", fromlist=["x"]).TOKEN_COUNT_PCT_SQL,
         "cohort_overlap": __import__(
             "rayse.ops.funnel", fromlist=["x"]).COHORT_OVERLAP_SQL,
-        "regress_value_hour": __import__(
-            "rayse.ops.corr",
-            fromlist=["x"]).REGRESS_VALUE_ON_HOUR_SQL,
         "ppr_fixed": __import__(
             "rayse.ops.graph", fromlist=["x"]).ppr_fixed_sql(),
         "profile_events": __import__(
@@ -4581,10 +4282,7 @@ def oracle_sql() -> dict[str, str]:
                  fromlist=["x"]).token_count_quantiles_sql()),
             ("events", "event_type AS key, p_label, vq AS v",
              __import__("rayse.ops.quantiles",
-                        fromlist=["x"]).EVENT_QUANTILES_SQL),
-            ("corr", "event_type AS key, 'r' AS p_label, r_q AS v",
-             __import__("rayse.ops.corr",
-                        fromlist=["x"]).CORR_VALUE_HOUR_SQL)]
+                        fromlist=["x"]).EVENT_QUANTILES_SQL)]
             + [("mad",
                 f"event_type AS key, '{m}' AS p_label, {m} AS v",
                 __import__("rayse.ops.quantiles",
@@ -4610,11 +4308,6 @@ def oracle_sql() -> dict[str, str]:
                 __import__("rayse.ops.sampling",
                            fromlist=["x"]).source_mix_weights_sql())
                for m in ("n_tokens", "w_ppm")]
-            + [("zscore",
-                "CAST(event_id AS VARCHAR) AS key, 'z' AS p_label, "
-                "z_q AS v",
-                __import__("rayse.ops.corr",
-                           fromlist=["x"]).VALUE_ZSCORES_SQL)]
             + [("cohort",
                 f"type_a || '|' || type_b AS key, '{m}' AS p_label, "
                 f"{m} AS v",
@@ -4631,11 +4324,6 @@ def oracle_sql() -> dict[str, str]:
                 "CAST(out_dim AS VARCHAR) AS p_label, val AS v",
                 __import__("rayse.ops.randproj",
                            fromlist=["x"]).random_projection_sql())]
-            + [("ols",
-                f"event_type AS key, '{m}' AS p_label, {m} AS v",
-                __import__("rayse.ops.corr",
-                           fromlist=["x"]).REGRESS_VALUE_ON_HOUR_SQL)
-               for m in ("slope_q", "icept_q")]
             + [("profile", "col AS key, metric AS p_label, v AS v",
                 __import__("rayse.ops.profile",
                            fromlist=["x"]).profile_events_sql())]
@@ -4720,21 +4408,12 @@ def oracle_sql() -> dict[str, str]:
         "porter_lossynorm_topk": __import__(
             "rayse.ops.porter_oracle",
             fromlist=["x"]).porter_lossynorm_sql(),
-        "conformal_intervals": __import__(
-            "rayse.ops.conformal",
-            fromlist=["x"]).conformal_intervals_sql(),
-        "mutual_knn_pairs": __import__(
-            "rayse.ops.conformal",
-            fromlist=["x"]).mutual_knn_pairs_sql(),
         "media_audio_frames": __import__(
             "rayse.ops.multimodal",
             fromlist=["x"]).media_audio_frames_sql(),
         "media_wav_frames": __import__(
             "rayse.ops.multimodal",
             fromlist=["x"]).media_audio_frames_sql(),
-        "quantile_normalize": __import__(
-            "rayse.ops.qnorm",
-            fromlist=["x"]).quantile_normalize_sql(),
         "porter_gapphrase": __import__(
             "rayse.ops.porter_oracle",
             fromlist=["x"]).porter_gapphrase_sql(),
@@ -4806,15 +4485,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.datachecks", fromlist=["x"]).dp_event_counts_sql(),
         "twap_daily": __import__(
             "rayse.ops.windows", fromlist=["x"]).twap_daily_sql(),
-        "spearman_value_hour": __import__(
-            "rayse.ops.rankstats",
-            fromlist=["x"]).spearman_value_hour_sql(),
-        "kendall_value_hour": __import__(
-            "rayse.ops.rankstats",
-            fromlist=["x"]).kendall_value_hour_sql(),
-        "kruskal_wallis": __import__(
-            "rayse.ops.rankstats",
-            fromlist=["x"]).kruskal_wallis_types_sql(),
         "jw_name_pairs": __import__(
             "rayse.ops.editdist", fromlist=["x"]).jw_name_pairs_sql(),
         "ohlc_daily": __import__(
@@ -4834,13 +4504,8 @@ def oracle_sql() -> dict[str, str]:
             fromlist=["x"]).cumulative_users_daily_sql(),
         "hilbert_rank": __import__(
             "rayse.ops.hilbert", fromlist=["x"]).hilbert_rank_sql(),
-        "cov_matrix": __import__(
-            "rayse.ops.covmatrix", fromlist=["x"]).cov_matrix_sql(),
         "scd2_intervals": __import__(
             "rayse.ops.scd", fromlist=["x"]).scd2_intervals_sql(),
-        "mode_value": __import__(
-            "rayse.ops.rankstats",
-            fromlist=["x"]).mode_value_per_type_sql(),
         "xcorr_hourly": __import__(
             "rayse.ops.bursts", fromlist=["x"]).xcorr_hourly_sql(),
         "powerlaw_alpha": __import__(
@@ -4867,9 +4532,6 @@ def oracle_sql() -> dict[str, str]:
             fromlist=["x"]).sequence_pattern_counts_sql(),
         "er_clusters": __import__(
             "rayse.ops.editdist", fromlist=["x"]).er_clusters_sql(),
-        "mutual_information": __import__(
-            "rayse.ops.rankstats",
-            fromlist=["x"]).mutual_information_sql(),
         "max_concurrent": __import__(
             "rayse.ops.sweepline",
             fromlist=["x"]).max_concurrent_sessions_sql(),
@@ -4889,24 +4551,12 @@ def oracle_sql() -> dict[str, str]:
         "sliding_distinct_users": __import__(
             "rayse.ops.sweepline",
             fromlist=["x"]).sliding_distinct_users_sql(),
-        "knn_classify": __import__(
-            "rayse.ops.knn", fromlist=["x"]).knn_classify_sql(),
         "t_closeness": __import__(
             "rayse.ops.datachecks",
             fromlist=["x"]).t_closeness_sql(),
         "gazetteer_tags": __import__(
             "rayse.ops.gazetteer",
             fromlist=["x"]).gazetteer_tags_sql(),
-        "tree_depth2": __import__(
-            "rayse.ops.stump", fromlist=["x"]).tree_depth2_sql(),
-        "moving_median_daily": __import__(
-            "rayse.ops.movmed",
-            fromlist=["x"]).moving_median_daily_sql(),
-        "hbos_outliers": __import__(
-            "rayse.ops.movmed", fromlist=["x"]).hbos_outliers_sql(),
-        "isotonic_hourly": __import__(
-            "rayse.ops.isotonic",
-            fromlist=["x"]).isotonic_hourly_sql(),
         "feature_hash_vectors": __import__(
             "rayse.ops.fhash",
             fromlist=["x"]).feature_hash_vectors_sql(),
@@ -4915,19 +4565,10 @@ def oracle_sql() -> dict[str, str]:
         "ivm_distinct_retract": __import__(
             "rayse.ops.ivm",
             fromlist=["x"]).ivm_distinct_retract_sql(),
-        "bootstrap_resamples": __import__(
-            "rayse.ops.bootstrap",
-            fromlist=["x"]).bootstrap_resamples_sql(),
         "group_kfold": __import__(
             "rayse.ops.kfold", fromlist=["x"]).group_kfold_sql(),
         "benford_digits": __import__(
             "rayse.ops.datachecks", fromlist=["x"]).benford_digits_sql(),
-        "theil_sen": __import__(
-            "rayse.ops.corr", fromlist=["x"]).theil_sen_hourly_sql(),
-        "mann_kendall": __import__(
-            "rayse.ops.corr", fromlist=["x"]).mann_kendall_hourly_sql(),
-        "psi_drift": __import__(
-            "rayse.ops.kstest", fromlist=["x"]).psi_drift_sql(),
         "interval_coverage": __import__(
             "rayse.ops.intervals",
             fromlist=["x"]).INTERVAL_COVERAGE_SQL,
@@ -4935,9 +4576,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.skyline", fromlist=["x"]).PARETO_FRONTIER_SQL,
         "frequent_pairs": __import__(
             "rayse.ops.basket", fromlist=["x"]).frequent_pairs_sql(),
-        "chi2_term_source": __import__(
-            "rayse.ops.featsel",
-            fromlist=["x"]).chi2_term_source_sql(),
         "burst_stats": __import__(
             "rayse.ops.bursts", fromlist=["x"]).BURST_STATS_SQL,
         "markov_transitions": __import__(
@@ -4974,10 +4612,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.graph", fromlist=["x"]).edge_reciprocity_sql(),
         "gini_skew": __import__(
             "rayse.ops.gini", fromlist=["x"]).GINI_SKEW_SQL,
-        "ks_pairs": __import__(
-            "rayse.ops.kstest", fromlist=["x"]).KS_PAIRS_SQL,
-        "mwu_pairs": __import__(
-            "rayse.ops.kstest", fromlist=["x"]).MWU_PAIRS_SQL,
         "dedup_report": __import__(
             "rayse.ops.dedupreport", fromlist=["x"]).DEDUP_REPORT_SQL,
         "nb_eval": __import__(
@@ -4997,9 +4631,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.graph", fromlist=["x"]).bellman_ford_sql(),
         "l_diversity": __import__(
             "rayse.ops.datachecks", fromlist=["x"]).l_diversity_sql(),
-        "perceptron_train": __import__(
-            "rayse.ops.perceptron",
-            fromlist=["x"]).perceptron_train_sql(),
         "link_predict": __import__(
             "rayse.ops.graph", fromlist=["x"]).link_predict_sql(),
         "link_predict_xchg": __import__(
@@ -5028,8 +4659,6 @@ def oracle_sql() -> dict[str, str]:
             "rayse.ops.bursts", fromlist=["x"]).ewma_hourly_sql(),
         "bfs_hops": __import__(
             "rayse.ops.graph", fromlist=["x"]).bfs_hops_sql(),
-        "stump_fit": __import__(
-            "rayse.ops.stump", fromlist=["x"]).stump_fit_sql(),
         "k_anonymity": __import__(
             "rayse.ops.datachecks", fromlist=["x"]).k_anonymity_sql(),
         "key_set_ops": __import__(

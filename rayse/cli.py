@@ -27,6 +27,14 @@ def _ray_init():
                  ignore_reinit_error=True)
 
 
+def _shard_kw(args) -> dict:
+    """``--shard-bytes`` if given; otherwise the pipeline's own default
+    applies, so the CLI holds no second copy of it."""
+    if args.shard_bytes is None:
+        return {}
+    return {"shard_target_bytes": args.shard_bytes}
+
+
 def cmd_build(args) -> int:
     from .config import IndexConfig
     from .pipelines.build_index import build_index
@@ -35,8 +43,7 @@ def cmd_build(args) -> int:
     cfg = IndexConfig(part_bits=args.part_bits,
                       with_positions=not args.no_positions,
                       clean_html=args.clean_html)
-    res = build_index(args.input, args.out, cfg,
-                      shard_target_bytes=args.shard_bytes)
+    res = build_index(args.input, args.out, cfg, **_shard_kw(args))
     print(json.dumps({
         "n_docs": res.n_docs, "total_tokens": res.total_tokens,
         "avgdl": round(res.avgdl, 3), "wall_s": res.wall_s,
@@ -49,8 +56,7 @@ def cmd_append(args) -> int:
     from .pipelines.build_index import append_index
 
     _ray_init()
-    res = append_index(args.index, args.input,
-                       shard_target_bytes=args.shard_bytes)
+    res = append_index(args.index, args.input, **_shard_kw(args))
     print(json.dumps({
         "n_docs": res.n_docs, "total_tokens": res.total_tokens,
         "avgdl": round(res.avgdl, 3), "wall_s": res.wall_s,
@@ -292,14 +298,16 @@ def cmd_ops(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .config import IndexConfig
+
     p = argparse.ArgumentParser(prog="rayse")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("build", help="build the inverted index")
     b.add_argument("--input", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--part-bits", type=int, default=9)
-    b.add_argument("--shard-bytes", type=int, default=2 << 30)
+    b.add_argument("--part-bits", type=int, default=IndexConfig.part_bits)
+    b.add_argument("--shard-bytes", type=int, default=None)
     b.add_argument("--no-positions", action="store_true")
     b.add_argument("--clean-html", action="store_true",
                    help="run the M2 HTML cleaning chain before tokenize")
@@ -311,7 +319,7 @@ def main(argv=None) -> int:
                             "only affected partitions re-merge)")
     a.add_argument("--index", required=True)
     a.add_argument("--input", required=True)
-    a.add_argument("--shard-bytes", type=int, default=2 << 30)
+    a.add_argument("--shard-bytes", type=int, default=None)
     a.set_defaults(fn=cmd_append)
 
     q = sub.add_parser("query", help="query a built index")

@@ -191,8 +191,10 @@ AC_LAG = 24
 def hourly_autocorr(sf_dir: str, lag: int = AC_LAG) -> pa.Table:
     """(event_type, n_pairs, r_q): seasonality detection — the Pearson
     autocorrelation of the dense hourly count grid at ``lag`` hours
-    (24 = daily rhythm), per event type, under the exact-integer
-    co-moment + one-float-sqrt 1e9 contract of `rayse/ops/corr.py`.
+    (24 = daily rhythm), per event type. The co-moments n·Σxy − Σx·Σy
+    and n·Σx² − (Σx)² are exact integers; r_q is then
+    floor(float(num) / sqrt(float(d1·d2)) · 1e9), the same three float
+    ops the oracle runs, so the result is bit-exact.
     Same grid fold as ``burst_stats`` (types x hour-span driver bound);
     DuckDB hash-matched against the self-join HUGEINT oracle."""
     import math

@@ -538,9 +538,9 @@ def degree_assortativity(sf_dir: str) -> pa.Table:
     """(scope, n_edges, r_q): directed degree assortativity of the
     derived event graph — the Pearson correlation, over every directed
     edge instance (s, d), of x = out_deg(s) with y = in_deg(d)
-    (Newman 2002's out-in variant), quantized at 1e9 with the same
-    exact-integer-co-moment + one-float-sqrt contract as
-    `rayse/ops/corr.py`.
+    (Newman 2002's out-in variant), quantized at 1e9: the co-moments
+    are exact integers and r_q = floor(float(num) / sqrt(float(d1·d2))
+    · 1e9), the same float ops in the same order as the oracle.
 
     Shape: two degree folds (groupby src / groupby dst — vertex-sized
     outputs, the documented driver bound shared with the rank vectors

@@ -292,8 +292,10 @@ SELECT query, metric, v FROM longf ORDER BY query, metric"""
 #   nqc_q = floor(sqrt(CAST(k_ret*sxx - sx*sx AS DOUBLE))
 #                 * SCALE / sx)                    (score dispersion /
 #                                                   mean — ONE float
-#                                                   sqrt + divide, the
-#                                                   corr.py contract)
+#                                                   sqrt + divide over
+#                                                   exact integer sums,
+#                                                   the same op order
+#                                                   as the oracle)
 #
 # where k_ret is the number of rows actually retrieved (< k for narrow
 # queries) and sx, sxx are exact integer score sums.

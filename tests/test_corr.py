@@ -1,64 +1,10 @@
-"""Grouped Pearson correlation vs the HUGEINT co-moment oracle."""
+"""Integer percentile rank of document token counts vs the
+histogram-window oracle."""
 
 import duckdb
-import numpy as np
 import pandas as pd
 
 SF = "/root/testdata/sf0.001"
-
-
-def test_corr_value_hour_matches_duckdb(ray_session):
-    from rayse.ops.corr import CORR_VALUE_HOUR_SQL, corr_value_hour
-
-    got = corr_value_hour(SF).to_pandas()
-    con = duckdb.connect()
-    con.execute("CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{SF}/events.parquet')")
-    want = con.execute(CORR_VALUE_HOUR_SQL).fetchdf()
-    a = got.sort_values("event_type").reset_index(drop=True)
-    b = want.sort_values("event_type").reset_index(drop=True)[list(a.columns)]
-    b = b.astype(a.dtypes.to_dict())
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
-    # correlations are in [-1, 1] at the 1e9 scale
-    assert (a["r_q"].abs() <= 1_000_000_000).all()
-
-
-def test_corr_value_hour_brute_force(ray_session):
-    """Against numpy corrcoef within quantization tolerance."""
-    import pyarrow.parquet as pq
-
-    from rayse.ops.corr import US_PER_HOUR, X_SCALE, corr_value_hour
-
-    got = corr_value_hour(SF).to_pandas().set_index("event_type")
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_type", "ts", "value"]).to_pandas()
-    ev["x"] = np.floor(ev["value"].to_numpy() * float(X_SCALE))
-    ts = ev["ts"].astype("int64").to_numpy()
-    ev["y"] = (ts // US_PER_HOUR) % 24
-    for et, g in ev.groupby("event_type"):
-        r = np.corrcoef(g["x"].to_numpy(), g["y"].to_numpy())[0, 1]
-        assert abs(got.loc[et, "r_q"] / 1e9 - r) < 1e-6, et
-
-
-def test_value_zscores_match_duckdb(ray_session):
-    """Row-level z-scores vs the HUGEINT two-pass oracle; per type the
-    z population has ~zero mean and values beyond |3| are rare."""
-    from rayse.ops.corr import VALUE_ZSCORES_SQL, value_zscores
-
-    got = value_zscores(SF).to_pandas()
-    con = duckdb.connect()
-    con.execute("CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{SF}/events.parquet')")
-    want = con.execute(VALUE_ZSCORES_SQL).fetchdf()
-    a = got.sort_values("event_id").reset_index(drop=True)
-    b = want.sort_values("event_id").reset_index(drop=True)[list(a.columns)]
-    b = b.astype(a.dtypes.to_dict())
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
-    z = a["z_q"].to_numpy() / 1e9
-    assert abs(z.mean()) < 0.1
-    assert (np.abs(z) > 3).mean() < 0.1
 
 
 def test_token_count_pct_matches_duckdb(ray_session):
@@ -78,34 +24,3 @@ def test_token_count_pct_matches_duckdb(ray_session):
     assert a["pct_q"].min() == 0 and a["pct_q"].max() < 10**9
     s = a.sort_values(["n_tokens", "doc_id"])
     assert s["pct_q"].is_monotonic_increasing
-
-
-def test_regress_value_on_hour_matches_duckdb(ray_session):
-    """Grouped OLS vs the HUGEINT rational oracle, and against numpy
-    polyfit within quantization tolerance."""
-    import pyarrow.parquet as pq
-
-    from rayse.ops.corr import (REGRESS_VALUE_ON_HOUR_SQL, US_PER_HOUR,
-                                X_SCALE, regress_value_on_hour)
-
-    got = regress_value_on_hour(SF).to_pandas()
-    con = duckdb.connect()
-    con.execute("CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{SF}/events.parquet')")
-    want = con.execute(REGRESS_VALUE_ON_HOUR_SQL).fetchdf()
-    a = got.sort_values("event_type").reset_index(drop=True)
-    b = want.sort_values("event_type").reset_index(drop=True)[
-        list(a.columns)]
-    b = b.astype(a.dtypes.to_dict())
-    pd.testing.assert_frame_equal(a, b)
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_type", "ts", "value"]).to_pandas()
-    ev["y"] = np.floor(ev["value"].to_numpy() * float(X_SCALE))
-    ts = ev["ts"].astype("int64").to_numpy()
-    ev["x"] = (ts // US_PER_HOUR) % 24
-    for et, g in ev.groupby("event_type"):
-        sl, ic = np.polyfit(g["x"].to_numpy(float),
-                            g["y"].to_numpy(float), 1)
-        row = a[a.event_type == et].iloc[0]
-        assert abs(row.slope_q / 1e9 - sl) < 1e-5, et
-        assert abs(row.icept_q / 1e9 - ic) < 1e-4, et

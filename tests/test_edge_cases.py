@@ -97,6 +97,26 @@ def test_cli_build_query_stats(ray_session, tmp_path, capsys):
     assert '"n_docs"' in capsys.readouterr().out
 
 
+def test_cli_build_default_part_bits_is_config_default(ray_session, tmp_path,
+                                                      capsys):
+    """``rayse build`` without ``--part-bits`` builds the same partitioning
+    as ``build_index`` with the default config, so the two indexes merge."""
+    import pyarrow.parquet as pq
+
+    from rayse.cli import main
+    from rayse.config import IndexConfig
+    from rayse.index.stats import load_index_meta
+
+    src = tmp_path / "c"
+    src.mkdir()
+    pq.write_table(_turns([("c-1", 0, "alpha beta gamma")]),
+                   str(src / "t.parquet"))
+    idx = tmp_path / "i"
+    assert main(["build", "--input", str(src), "--out", str(idx)]) == 0
+    capsys.readouterr()
+    assert load_index_meta(str(idx))["part_bits"] == IndexConfig().part_bits
+
+
 def test_cli_ops_subcommands(ray_session, tmp_path, capsys):
     """sample / spans / dedup CLI entry points over the sf0.001 tables."""
     import json as _json

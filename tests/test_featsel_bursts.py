@@ -1,6 +1,6 @@
-"""Chi-square term-source association and burst detection: DuckDB
+"""Burst detection, hourly autocorrelation and Haar energy: DuckDB
 bit-exact match at sf0.001 plus semantic invariants (hysteresis
-transitions, exact-rational floor)."""
+transitions, correlation bounds, Parseval)."""
 
 import duckdb
 import numpy as np
@@ -25,31 +25,6 @@ def _cmp(got, want, keys):
          [list(a.columns)].astype(a.dtypes.to_dict()))
     pd.testing.assert_frame_equal(a, b)
     return len(a)
-
-
-def test_chi2_matches_duckdb(ray_session, con):
-    from rayse.ops.featsel import chi2_term_source, chi2_term_source_sql
-
-    # sf0.001 has ~50 docs; lower min_df so terms qualify
-    n = _cmp(chi2_term_source(SF, min_df=5).to_pandas(),
-             con.execute(chi2_term_source_sql(min_df=5)).fetchdf(),
-             ["term", "source"])
-    assert n > 0
-
-
-def test_chi2_exact_rational():
-    """chi2_q is the floored exact rational: recompute one cell with
-    fractions and compare."""
-    from fractions import Fraction
-
-    from rayse.ops.featsel import CHI2_SCALE
-
-    a, b, c, d = 7, 13, 3, 77
-    n = a + b + c + d
-    num = n * (a * d - c * b) ** 2 * CHI2_SCALE
-    den = (a + c) * (b + d) * (a + b) * (c + d)
-    exact = Fraction(n * (a * d - c * b) ** 2, den)
-    assert num // den == int(exact * CHI2_SCALE)
 
 
 def test_burst_matches_duckdb(ray_session, con):
@@ -98,56 +73,6 @@ def test_autocorr_bounds(ray_session):
 
     df = hourly_autocorr(SF).to_pandas()
     assert df["r_q"].between(-10**9, 10**9).all()
-
-
-def test_ks_matches_duckdb(ray_session, con):
-    from rayse.ops.kstest import KS_PAIRS_SQL, ks_pairs
-
-    n = _cmp(ks_pairs(SF).to_pandas(),
-             con.execute(KS_PAIRS_SQL).fetchdf(), ["type_a", "type_b"])
-    assert n > 0
-
-
-def test_ks_identity_and_bounds(ray_session):
-    """KS of a distribution against itself is 0; all values in
-    [0, 1e6]; symmetric in the pair."""
-    import numpy as np
-
-    from rayse.ops.kstest import ks_pairs
-
-    df = ks_pairs(SF).to_pandas()
-    assert df["ks_ppm"].between(0, 10**6).all()
-    # pairs are ordered (a < b), each unordered pair once
-    pairs = set(zip(df["type_a"], df["type_b"]))
-    assert all(a < b for a, b in pairs)
-    assert len(pairs) == len(df)
-
-
-def test_mwu_matches_duckdb(ray_session, con):
-    from rayse.ops.kstest import MWU_PAIRS_SQL, mwu_pairs
-
-    n = _cmp(mwu_pairs(SF).to_pandas(),
-             con.execute(MWU_PAIRS_SQL).fetchdf(), ["type_a", "type_b"])
-    assert n > 0
-
-
-def test_mwu_complement(ray_session):
-    """U2(a,b) + U2(b,a) == 2 * n_a * n_b (hand-built complement on a
-    tiny histogram)."""
-    import numpy as np
-
-    # xa: values [1,1,2]; xb: values [1,3]
-    # pairs a<b: (1,3)x2,(2,3)=3; ties: (1,1)x2 -> u2_ab = 2*3+2=8
-    # u2_ba = pairs b<a: (1,2)=1 -> 2*1 + ties 2 = 4; total 12 = 2*3*2
-    from rayse.ops.kstest import mwu_pairs  # noqa: F401 (import check)
-
-    xa = np.array([1, 1, 2]); xb = np.array([1, 3])
-    def u2(x, y):
-        s = 0
-        for a in x:
-            s += 2 * int((y < a).sum()) + int((y == a).sum())
-        return s
-    assert u2(xa, xb) + u2(xb, xa) == 2 * xa.size * xb.size
 
 
 def test_haar_matches_duckdb(ray_session, con):

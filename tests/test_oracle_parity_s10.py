@@ -13,12 +13,12 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
 
 CASES = [
     "zipf_slope", "kmeans_silhouette", "attribution_counts",
-    "cumulative_users", "mode_value", "xcorr_hourly",
+    "cumulative_users", "xcorr_hourly",
     "powerlaw_alpha", "time_to_convert",
     "source_trigram_cos",
     "ab_lift", "media_dedup", "fertility_by_lang",
     "seq_patterns",
-    "er_clusters", "mutual_information",
+    "er_clusters",
     "max_concurrent", "pair_lift", "ann_label_topk",
     "rich_club", "type_user_jaccard",
     "bounce_rate", "sliding_distinct_users",

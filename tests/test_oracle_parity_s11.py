@@ -11,17 +11,14 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
 CASES = [
-    "knn_classify", "t_closeness",
+    "t_closeness",
     "porter_searchafter_topk", "porter_convscope_topk",
-    "gazetteer_tags", "tree_depth2",
-    "moving_median_daily", "hbos_outliers",
-    "isotonic_hourly",
+    "gazetteer_tags",
     "feature_hash_vectors", "upsert_merge",
-    "ivm_distinct_retract", "bootstrap_resamples",
+    "ivm_distinct_retract",
     "group_kfold",
     "porter_synquery_topk", "porter_lossynorm_topk",
-    "conformal_intervals", "mutual_knn_pairs",
-    "media_audio_frames", "quantile_normalize",
+    "media_audio_frames",
     "porter_gapphrase",
     # the driver-window suite entries that carry this session's
     # cells as arms — pinned whole so the window composition is tested

@@ -1,8 +1,7 @@
-"""Session-8 batch 6: integer batch perceptron and common-neighbor
-link prediction — DuckDB bit-exact plus learning/graph semantics."""
+"""Common-neighbor link prediction — DuckDB bit-exact plus graph
+semantics."""
 
 import duckdb
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -24,56 +23,6 @@ def _cmp(got, want, keys):
          [list(a.columns)].astype(a.dtypes.to_dict()))
     pd.testing.assert_frame_equal(a, b)
     return len(a)
-
-
-def test_perceptron_matches_duckdb(ray_session, con):
-    from rayse.ops.perceptron import perceptron_train, perceptron_train_sql
-
-    got = perceptron_train(SF).to_pandas()
-    n = _cmp(got, con.execute(perceptron_train_sql()).fetchdf(), ["d"])
-    assert n == 64 + 2
-
-
-def test_perceptron_separable_toy(ray_session, tmp_path):
-    """A linearly separable toy set must reach zero misclassified."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from rayse.ops.perceptron import perceptron_train
-
-    # y = +1 iff dim0 > 0; labels odd for positive class
-    vecs = [[0.5, 0.1], [0.9, -0.2], [0.3, 0.4],
-            [-0.5, 0.1], [-0.8, -0.3], [-0.2, 0.2]]
-    labels = [1, 3, 5, 0, 2, 4]
-    d = tmp_path / "sep"
-    d.mkdir()
-    pq.write_table(pa.table({
-        "vec_id": pa.array(range(6), pa.int64()),
-        "embedding": pa.array(vecs, pa.list_(pa.float32())),
-        "label": pa.array(labels, pa.int32())}),
-        str(d / "embeddings.parquet"))
-    t = perceptron_train(str(d), epochs=3).to_pandas().set_index("d")
-    assert t.loc[-2, "w"] == 0          # all classified
-    assert t.loc[0, "w"] > 0            # weight aligned with dim0
-
-
-def test_perceptron_first_epoch_is_class_mean_diff(ray_session, con):
-    """Epoch 1 updates on every row (w0 = 0 gives margin 0), so
-    w1 = sum(y * x) exactly."""
-    from rayse.ops.perceptron import perceptron_train
-    from rayse.ops.similarity import _KM_SCALE
-
-    got = perceptron_train(SF, epochs=1).to_pandas().set_index("d")
-    want = con.execute(f"""
-        SELECT CAST(u.i AS BIGINT) AS d,
-               sum((CASE WHEN label % 2 = 1 THEN 1 ELSE -1 END)
-                   * CAST(floor(CAST(embedding[CAST(u.i AS INTEGER) + 1]
-                                     AS DOUBLE) * {_KM_SCALE})
-                          AS BIGINT)) AS w
-        FROM embeddings, UNNEST(range(len(embedding))) u(i)
-        GROUP BY 1 ORDER BY 1""").fetchdf().set_index("d")
-    for d in range(int(want.index.max()) + 1):
-        assert got.loc[d, "w"] == want.loc[d, "w"]
 
 
 def test_link_predict_matches_duckdb(ray_session, con):

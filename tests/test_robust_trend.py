@@ -1,8 +1,7 @@
-"""Benford, Theil-Sen, Mann-Kendall, PSI drift, and Adamic-Adar:
-DuckDB bit-exact matches at sf0.001 plus semantic pins."""
+"""Benford digits, Adamic-Adar and link prediction, DP event counts and
+TWAP: DuckDB bit-exact matches at sf0.001 plus semantic pins."""
 
 import duckdb
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -34,52 +33,6 @@ def test_benford_matches_duckdb(ray_session, con):
     assert len(t) > 0
     # expectation column is the log law regardless of the data
     assert t.loc[t.digit == 1, "expected_ppm"].iloc[0] == 301030
-
-
-def test_theil_sen_matches_duckdb(ray_session, con):
-    from rayse.ops.corr import theil_sen_hourly, theil_sen_hourly_sql
-
-    t = _cmp(theil_sen_hourly(SF), theil_sen_hourly_sql(), con,
-             ["n_hours"])
-    r = t.iloc[0]
-    assert r["n_pairs"] == r["n_hours"] * (r["n_hours"] - 1) // 2
-
-
-def test_theil_sen_breakdown_robustness(ray_session):
-    """The slope is a median of pair slopes: injecting one wild hour
-    into a synthetic profile must not move the lower median much --
-    pinned directly on the driver-side helpers."""
-    from rayse.ops.corr import _median_lo
-
-    h = np.arange(10.0)
-    clean = 2.0 * h + 1.0
-    dirty = clean.copy()
-    dirty[5] = 1e6
-    i, j = np.triu_indices(10, k=1)
-
-    def ts(y):
-        return _median_lo((y[j] - y[i]) / (h[j] - h[i]))
-
-    assert ts(clean) == 2.0
-    assert abs(ts(dirty) - 2.0) < 1.0
-
-
-def test_mann_kendall_matches_duckdb(ray_session, con):
-    from rayse.ops.corr import mann_kendall_hourly, mann_kendall_hourly_sql
-
-    t = _cmp(mann_kendall_hourly(SF), mann_kendall_hourly_sql(), con,
-             ["n_points"])
-    r = t.iloc[0]
-    nmax = r["n_points"] * (r["n_points"] - 1) // 2
-    assert -nmax <= r["s_stat"] <= nmax
-
-
-def test_psi_drift_matches_duckdb(ray_session, con):
-    from rayse.ops.kstest import psi_drift, psi_drift_sql
-
-    t = _cmp(psi_drift(SF), psi_drift_sql(), con, ["bucket"])
-    assert len(t) > 0
-    assert (t["n_a"] + t["n_b"] > 0).all()
 
 
 def test_adamic_adar_matches_duckdb(ray_session, con):

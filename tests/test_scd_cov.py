@@ -1,6 +1,4 @@
-"""SCD-2 intervals and the covariance matrix pinned against pandas
-brute force at sf0.001."""
-import numpy as np
+"""SCD-2 intervals pinned against pandas brute force at sf0.001."""
 import pandas as pd
 import pyarrow.parquet as pq
 
@@ -40,26 +38,3 @@ def test_scd2_matches_bruteforce():
         opens = g["valid_from_us"].to_numpy()[1:]
         assert (closes == opens).all()
         assert (g["valid_to_us"].to_numpy()[-1] == -1)
-
-
-def test_cov_matrix_matches_numpy():
-    from rayse.ops.covmatrix import COV_COLS, COV_SCALES, cov_matrix
-
-    li = pq.read_table(f"{SF}/lineitem.parquet",
-                       columns=list(COV_COLS)).to_pandas()
-    mats = {c: np.floor(li[c].to_numpy() * s + 0.5).astype(np.int64)
-            for c, s in zip(COV_COLS, COV_SCALES)}
-    got = cov_matrix(SF).to_pandas()
-    n = len(li)
-    for _, row in got.iterrows():
-        a, b = mats[row["col_a"]], mats[row["col_b"]]
-        sa, sb = int(a.sum()), int(b.sum())
-        sab = int((a * b).sum())
-        num = (n * sab - sa * sb) * 1000
-        den = n * n
-        want = -((-num) // den) if num < 0 else num // den
-        assert int(row["cov_milli"]) == want
-        assert int(row["n"]) == n
-    # diagonal variances are non-negative
-    diag = got[got["col_a"] == got["col_b"]]
-    assert (diag["cov_milli"] >= 0).all()

@@ -1,6 +1,5 @@
-"""Session-8 additions: BFS hop distances, the exact decision stump,
-and the k-anonymity audit — each DuckDB bit-exact plus one structural
-property."""
+"""BFS hop distances and the k-anonymity audit — each DuckDB bit-exact
+plus one structural property."""
 
 import duckdb
 import numpy as np
@@ -58,22 +57,6 @@ def test_bfs_triangle_graph(ray_session):
         {"src": 4, "dst": 5}])
     t = bfs_hops(edges).to_pandas().set_index("vertex")["hop"]
     assert t.to_dict() == {1: 0, 2: 1, 4: 1, 3: 2, 5: 2}
-
-
-def test_stump_matches_duckdb(ray_session, con):
-    from rayse.ops.stump import stump_fit, stump_fit_sql
-
-    _cmp(stump_fit(SF).to_pandas(),
-         con.execute(stump_fit_sql()).fetchdf(), ["threshold_cents"])
-
-
-def test_stump_beats_minority(ray_session):
-    """The learned rule is at least as accurate as always-majority."""
-    from rayse.ops.stump import stump_fit
-
-    t = stump_fit(SF).to_pandas().iloc[0]
-    assert t["n_correct"] * 2 >= t["n_total"]
-    assert 0 < t["acc_ppm"] <= 1_000_000
 
 
 def test_kanon_matches_duckdb(ray_session, con):
